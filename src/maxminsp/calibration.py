@@ -55,11 +55,7 @@ def _simplex_excess_surrogate(
     estimate on the honest side.
     """
     mu_bars, _, _, _ = spmp_solve_batch_simplex(V, task, K=K, eta=eta)
-    if isinstance(task, MulticlassTask):
-        A_mu_bars, A_mus = -mu_bars, -Mus
-    else:
-        L = task.loss_matrix()
-        A_mu_bars, A_mus = mu_bars @ L, Mus @ L
+    A_mu_bars, A_mus = task.apply_loss_matrix(mu_bars), task.apply_loss_matrix(Mus)
     omega_lower = A_mu_bars.min(axis=1) + np.einsum("ij,ij->i", V, mu_bars)
     bayes = A_mus.min(axis=1)
     return omega_lower - np.einsum("ij,ij->i", V, Mus) - bayes

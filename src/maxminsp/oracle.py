@@ -1,25 +1,25 @@
 """Saddle-point mirror prox for the max-min oracle.
 
 Solves  max_{mu in M} min_{nu in M}  nu^T A mu + v^T mu  by extra-gradient
-mirror steps (four Bregman projections per round) and certifies the duality
-gap with exact combinatorial max/min over the polytope vertices.  Simplex
-tasks get a vectorized path so large iteration budgets and batched solves
-stay cheap.
+mirror steps and certifies the duality gap with exact combinatorial
+max/min over the polytope vertices.  One engine, `_mirror_prox`, serves
+every task and batch size: it solves a (B, dim) stack of score vectors at
+once, and since both players live on the same polytope it keeps them as
+one (2B, dim) stack, so each half-step is one apply-A and one projection
+call.  `spmp_solve` is a one-vector call into it, `trainer.dual_gap`
+certifies all examples with one call, and `spmp_solve_batch_simplex` is
+the guarded entry for simplex stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .projections import (
-    PROB_FLOOR,
-    SinkhornConvergenceError,
-    project,
-    spmp_constants,
-)
-from .tasks import MulticlassTask, OrdinalTask, Task
+from .projections import PROB_FLOOR, SinkhornConvergenceError, spmp_constants, stack_projector
+from .tasks import LayoutError, MulticlassTask, OrdinalTask, Task
 
 __all__ = [
     "OracleResult",
@@ -60,20 +60,61 @@ def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> 
     return upper - lower
 
 
-def _simplex_apply(task: Task):
-    """Row-wise A @ x for stacked simplex points (A symmetric)."""
-    if isinstance(task, MulticlassTask):
-        return lambda X: -X
-    L = task.loss_matrix()
-    return lambda X: X @ L
+def _mirror_prox(
+    V: np.ndarray,
+    task: Task,
+    K: int,
+    eta: float | None = None,
+    init: tuple[np.ndarray, np.ndarray] | None = None,
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
+    The iterate is one (2B, dim) stack X: rows :B are the max players mu,
+    rows B: the min players nu.  A round takes a half-step from X with
+    the gradient at X and a full step from X with the gradient at the
+    half-step point; the half-step points are averaged.  The default eta
+    is 1/(2 L) for the task's smoothness constant; the projection rate is
+    scaled by the entropy range so the step matches a mirror map
+    normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
+    or B rows each, already inside the polytope.  stop, when given, sees
+    the running average every 5 rounds and ends the solve when it returns
+    true.  Returns (X_bar, X_last, rounds run).
+    """
+    if K < 1:
+        raise ValueError("iteration budget must be >= 1")
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    # finite scores and iterates inside the polytope keep every gradient finite
+    if not np.all(np.isfinite(V)):
+        raise LayoutError("non-finite scores")
+    B = V.shape[0]
+    mm = spmp_constants(task)
+    rate = (1.0 / (2.0 * mm.l_spmp) if eta is None else eta) * mm.r2
+    apply_a = task.apply_loss_matrix
+    proj = stack_projector(task)
+    if init is None:
+        X = np.tile(task.uniform_state(), (2 * B, 1))
+    else:
+        X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
 
-def _simplex_step(P: np.ndarray, grad: np.ndarray, rate: float) -> np.ndarray:
-    Z = np.log(P) + rate * grad
-    Z -= Z.max(axis=-1, keepdims=True)
-    Q = np.exp(Z)
-    Q /= Q.sum(axis=-1, keepdims=True)
-    return np.maximum(Q, PROB_FLOOR)
+    def grad(X):
+        AX = apply_a(X)
+        return np.concatenate([AX[B:] + V, -AX[:B]])
+
+    X_sum = np.zeros_like(X)
+    for it in range(K):
+        try:
+            X_half = proj(X, grad(X), rate)
+            X = proj(X, grad(X_half), rate)
+        except SinkhornConvergenceError as exc:
+            player = "max" if exc.row < B else "min"
+            raise RuntimeError(
+                f"projection failed at iteration {it} ({player} player): {exc}"
+            ) from exc
+        X_sum += X_half
+        if stop is not None and (it + 1) % 5 == 0 and stop(X_sum / (it + 1)):
+            return X_sum / (it + 1), X, it + 1
+    return X_sum / K, X, K
 
 
 def spmp_solve_batch_simplex(
@@ -91,30 +132,9 @@ def spmp_solve_batch_simplex(
     """
     if not isinstance(task, (MulticlassTask, OrdinalTask)):
         raise ValueError("batched solves only support simplex polytopes")
-    mm = spmp_constants(task)
-    if eta is None:
-        eta = 1.0 / (2.0 * mm.l_spmp)
-    rate = eta * mm.r2
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    apply_a = _simplex_apply(task)
-    if init is None:
-        mu = np.full_like(V, 1.0 / task.k)
-        nu = mu.copy()
-    else:
-        mu = np.maximum(np.atleast_2d(np.asarray(init[0], dtype=float)), PROB_FLOOR)
-        nu = np.maximum(np.atleast_2d(np.asarray(init[1], dtype=float)), PROB_FLOOR)
-        mu = np.broadcast_to(mu, V.shape).copy()
-        nu = np.broadcast_to(nu, V.shape).copy()
-    mu_sum = np.zeros_like(V)
-    nu_sum = np.zeros_like(V)
-    for _ in range(K):
-        mu_h = _simplex_step(mu, apply_a(nu) + V, rate)
-        nu_h = _simplex_step(nu, -apply_a(mu), rate)
-        mu = _simplex_step(mu, apply_a(nu_h) + V, rate)
-        nu = _simplex_step(nu, -apply_a(mu_h), rate)
-        mu_sum += mu_h
-        nu_sum += nu_h
-    return mu_sum / K, nu_sum / K, mu, nu
+    X_bar, X, _ = _mirror_prox(V, task, K, eta, init)
+    B = len(X) // 2
+    return X_bar[:B], X_bar[B:], X[:B], X[B:]
 
 
 def spmp_solve(
@@ -125,64 +145,24 @@ def spmp_solve(
     eta: float | None = None,
     stop_gap: float | None = None,
 ) -> OracleResult:
-    """Extra-gradient saddle solver; averages the half-step iterates.
+    """Extra-gradient saddle solver for one score vector.
 
-    Each round takes two half-step projections evaluated at the current
-    iterates and two full-step projections evaluated at the half-step
-    points.  The default eta is 1/(2 L) for the task's smoothness constant;
-    the per-projection rate is scaled by the entropy range so the step
-    matches a mirror map normalized to strong convexity 1.  When stop_gap
-    is set, the certified gap of the running averages is checked
-    periodically and the solve returns early once it drops below.
+    See `_mirror_prox` for the rounds and the default eta.  A warm-start
+    init is floored and checked against the polytope.  When stop_gap is
+    set, the certified gap of the running averages is checked every 5
+    rounds and the solve returns early once it drops below.
     """
-    if K < 1:
-        raise ValueError("iteration budget must be >= 1")
     v = np.asarray(v, dtype=float)
-    mm = spmp_constants(task)
-    if eta is None:
-        eta = 1.0 / (2.0 * mm.l_spmp)
+    if init is not None:
+        init = tuple(np.maximum(np.asarray(x, dtype=float), PROB_FLOOR) for x in init)
+        task.check_state(init[0])
+        task.check_state(init[1])
+    stop = None
+    if stop_gap is not None:
+        def stop(X_bar):
+            return certified_gap(X_bar[0], X_bar[1], v, task) <= stop_gap
 
-    if stop_gap is None and isinstance(task, (MulticlassTask, OrdinalTask)):
-        mu_bar, nu_bar, mu, nu = spmp_solve_batch_simplex(v[None, :], task, K, eta, init)
-        mu_bar, nu_bar, mu, nu = mu_bar[0], nu_bar[0], mu[0], nu[0]
-        done = K
-    else:
-        rate = eta * mm.r2
-        if init is None:
-            mu = task.uniform_state()
-            nu = task.uniform_state()
-        else:
-            mu = np.maximum(np.asarray(init[0], dtype=float), PROB_FLOOR)
-            nu = np.maximum(np.asarray(init[1], dtype=float), PROB_FLOOR)
-            task.check_state(mu)
-            task.check_state(nu)
-        mu_sum = np.zeros_like(mu)
-        nu_sum = np.zeros_like(nu)
-
-        def _proj(point, grad, it, player):
-            try:
-                return project(task, point, grad, rate)
-            except SinkhornConvergenceError as exc:
-                raise RuntimeError(
-                    f"projection failed at iteration {it} ({player} player): {exc}"
-                ) from exc
-
-        done = K
-        for it in range(K):
-            mu_h = _proj(mu, task.apply_loss_matrix(nu) + v, it, "max")
-            nu_h = _proj(nu, -task.apply_loss_matrix(mu), it, "min")
-            mu_next = _proj(mu, task.apply_loss_matrix(nu_h) + v, it, "max")
-            nu_next = _proj(nu, -task.apply_loss_matrix(mu_h), it, "min")
-            mu_sum += mu_h
-            nu_sum += nu_h
-            mu, nu = mu_next, nu_next
-            if stop_gap is not None and (it + 1) % 5 == 0:
-                if certified_gap(mu_sum / (it + 1), nu_sum / (it + 1), v, task) <= stop_gap:
-                    done = it + 1
-                    break
-        mu_bar = mu_sum / done
-        nu_bar = nu_sum / done
-
+    (mu_bar, nu_bar), (mu, nu), done = _mirror_prox(v, task, K, eta, init, stop)
     gap = certified_gap(mu_bar, nu_bar, v, task)
     saddle = float(nu_bar @ task.apply_loss_matrix(mu_bar)) + float(v @ mu_bar) + task.offset
     return OracleResult(

@@ -78,7 +78,10 @@ class Task:
 
     # -- loss ------------------------------------------------------------
     def apply_loss_matrix(self, mu: np.ndarray) -> np.ndarray:
-        """A @ mu for the centered loss matrix (A is symmetric here)."""
+        """A @ mu for the centered loss matrix (A is symmetric here).
+
+        A (B, k) stack of points maps row by row to a (B, k) stack.
+        """
         raise NotImplementedError
 
     def loss(self, y, y2) -> float:
@@ -225,7 +228,7 @@ class OrdinalTask(Task):
         return int(idx[0]) + 1
 
     def apply_loss_matrix(self, mu):
-        return self.loss_matrix() @ np.asarray(mu, dtype=float)
+        return np.asarray(mu, dtype=float) @ self.loss_matrix()  # A symmetric
 
     def decode(self, v):
         v = np.asarray(v, dtype=float)
@@ -322,11 +325,14 @@ class ChainTask(Task):
         return tuple(y)
 
     def apply_loss_matrix(self, mu):
-        u, _ = self.split(mu)
+        mu = np.asarray(mu, dtype=float)
+        rows = mu.shape[:-1]
         L = self.part_loss_matrix() / self.M
-        out_u = u @ L.T  # L symmetric; per-position matvec
-        out_p = np.zeros((max(self.M - 1, 0), self.R, self.R))
-        return self.join(out_u, out_p)
+        out = np.zeros_like(mu)
+        # L symmetric; per-position matvec on the unary blocks
+        u = mu[..., : self.unary_dim].reshape(*rows, self.M, self.R)
+        out[..., : self.unary_dim] = (u @ L).reshape(*rows, self.unary_dim)
+        return out
 
     def decode(self, v):
         """Viterbi with exact lexicographic tie-breaking.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import WarmStartCache, certified_gap, spmp_solve, spmp_solve_batch_simplex
+from .oracle import WarmStartCache, _mirror_prox, spmp_solve
 from .projections import polytope_diameter_sq, spmp_constants
 from .tasks import MulticlassTask, OrdinalTask, Task
 
@@ -119,7 +119,8 @@ def dual_gap(
 
     Per example:  max_mu' H_i(mu', w) - H_i(mu_i, w)  with
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
-    bounded from above through the oracle's min player.
+    bounded from above through the oracle's min player.  One oracle solve
+    covers all examples.
     """
     task = task or model.task
     if K_gram is None:
@@ -129,20 +130,15 @@ def dual_gap(
     n = model.n
     held = np.einsum("ij,ij->i", V, model.dual_mu - Phi)
     held += np.array([_centered_bayes(task, model.dual_mu[i]) for i in range(n)])
-    if isinstance(task, (MulticlassTask, OrdinalTask)):
-        if oracle_eta is None:
-            # certification only: a step well above the worst-case-safe
-            # default tightens the bound at equal budget
-            oracle_eta = 4.0 / spmp_constants(task).l_spmp
-        _, nu_bars, _, _ = spmp_solve_batch_simplex(V, task, K=oracle_iters, eta=oracle_eta)
-        uppers = np.array(
-            [_oracle_upper(task, nu_bars[i], V[i]) - V[i] @ Phi[i] for i in range(n)]
-        )
-    else:
-        uppers = np.empty(n)
-        for i in range(n):
-            res = spmp_solve(V[i], task, K=oracle_iters, eta=oracle_eta)
-            uppers[i] = _oracle_upper(task, res.nu_bar, V[i]) - V[i] @ Phi[i]
+    if oracle_eta is None and isinstance(task, (MulticlassTask, OrdinalTask)):
+        # certification only: a step well above the worst-case-safe
+        # default tightens the bound at equal budget
+        oracle_eta = 4.0 / spmp_constants(task).l_spmp
+    X_bar, _, _ = _mirror_prox(V, task, oracle_iters, oracle_eta)
+    nu_bars = X_bar[n:]
+    uppers = np.array(
+        [_oracle_upper(task, nu_bars[i], V[i]) - V[i] @ Phi[i] for i in range(n)]
+    )
     return float(np.mean(uppers - held))
 
 

@@ -7,8 +7,15 @@ from maxminsp.oracle import (
     spmp_solve,
     spmp_solve_batch_simplex,
 )
-from maxminsp.projections import spmp_constants
-from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask, make_task
+from maxminsp.projections import project, spmp_constants
+from maxminsp.tasks import (
+    ChainTask,
+    LayoutError,
+    MulticlassTask,
+    OrdinalTask,
+    RankingTask,
+    make_task,
+)
 
 
 def binary_partition_closed_form(v):
@@ -152,18 +159,12 @@ def test_ranking_solver_valid_states():
     assert res.gap >= -1e-9
 
 
-def test_averaging_is_half_step_mean():
-    # reproduce the solver loop by hand and compare the averages
-    from maxminsp.projections import project
-
-    t = MulticlassTask(k=3)
-    v = np.array([0.5, -0.3, 0.1])
+def _hand_rolled_solve(t, v, K, mu, nu):
+    """The solver loop written out with one-vector projections."""
     mm = spmp_constants(t)
     rate = (1.0 / (2.0 * mm.l_spmp)) * mm.r2
-    mu = nu = t.uniform_state()
-    mu_sum = np.zeros(3)
-    nu_sum = np.zeros(3)
-    K = 25
+    mu_sum = np.zeros_like(mu)
+    nu_sum = np.zeros_like(nu)
     for _ in range(K):
         mu_h = project(t, mu, t.apply_loss_matrix(nu) + v, rate)
         nu_h = project(t, nu, -t.apply_loss_matrix(mu), rate)
@@ -173,9 +174,42 @@ def test_averaging_is_half_step_mean():
         )
         mu_sum += mu_h
         nu_sum += nu_h
+    return mu_sum / K, nu_sum / K, mu, nu
+
+
+def test_averaging_is_half_step_mean():
+    t = MulticlassTask(k=3)
+    v = np.array([0.5, -0.3, 0.1])
+    K = 25
+    mu_bar, nu_bar, _, _ = _hand_rolled_solve(t, v, K, t.uniform_state(), t.uniform_state())
     res = spmp_solve(v, t, K=K)
-    assert np.max(np.abs(res.mu_bar - mu_sum / K)) < 1e-12
-    assert np.max(np.abs(res.nu_bar - nu_sum / K)) < 1e-12
+    assert np.max(np.abs(res.mu_bar - mu_bar)) < 1e-12
+    assert np.max(np.abs(res.nu_bar - nu_bar)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [ChainTask(M=3, R=2), RankingTask(M=3)], ids=["chain", "ranking"])
+def test_structured_averaging_is_half_step_mean(t):
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=t.embed_dim)
+    K = 15
+    cold = _hand_rolled_solve(t, v, K, t.uniform_state(), t.uniform_state())
+    res = spmp_solve(v, t, K=K)
+    got = (res.mu_bar, res.nu_bar, res.mu_last, res.nu_last)
+    for a, b in zip(got, cold):
+        assert np.max(np.abs(a - b)) < 1e-12
+    # warm start from the cold solve's last iterates
+    warm = _hand_rolled_solve(t, v, K, cold[2], cold[3])
+    res = spmp_solve(v, t, init=(cold[2], cold[3]), K=K)
+    got = (res.mu_bar, res.nu_bar, res.mu_last, res.nu_last)
+    for a, b in zip(got, warm):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [ChainTask(M=3, R=2), RankingTask(M=3)], ids=["chain", "ranking"])
+def test_invalid_warm_start_rejected(t):
+    bad = t.uniform_state() * 2.0
+    with pytest.raises(LayoutError):
+        spmp_solve(np.zeros(t.embed_dim), t, init=(bad, t.uniform_state()), K=5)
 
 
 def test_batch_matches_single_solves():

@@ -10,6 +10,7 @@ from maxminsp.projections import (
     project_birkhoff_sinkhorn,
     project_chain_entropic,
     project_simplex_entropic,
+    project_stack,
     simplex_entropy,
     spmp_constants,
 )
@@ -41,6 +42,8 @@ def gibbs_chain_projection(task, mu_prev, grad, eta):
             lw += np.log(pp[m, y[m] - 1, y[m + 1] - 1])
         for m in range(1, task.M - 1):
             lw -= np.log(pu[m, y[m] - 1])
+        if task.M == 1:  # the chain entropy of one position is its own
+            lw += np.log(pu[0, y[0] - 1])
         logw.append(lw)
     logw = np.array(logw)
     w = np.exp(logw - logw.max())
@@ -152,6 +155,43 @@ def test_chain_length_one_reduces_to_simplex():
     out = project_chain_entropic(mu_prev, grad, 0.7, task)
     ref = project_simplex_entropic(mu_prev, grad, 0.7)
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def near_vertex_chain_state(task, rng, eps=1e-6):
+    """A chain state within eps of a random vertex, inside the polytope."""
+    y = task.random_label(rng)
+    return (1.0 - eps) * task.embed(y) + eps * random_chain_state(task, rng)
+
+
+@pytest.mark.parametrize("M,R", [(1, 2), (2, 2), (3, 2), (4, 3)])
+def test_chain_stack_matches_rows_and_gibbs(M, R):
+    task = ChainTask(M=M, R=R)
+    rng = np.random.default_rng(10 * M + R)
+    rows = 12
+    P = np.stack([
+        near_vertex_chain_state(task, rng) if b % 3 == 0 else random_chain_state(task, rng)
+        for b in range(rows)
+    ])
+    G = rng.normal(size=(rows, task.embed_dim))
+    G[1::4] *= 30.0  # steep rows drive the output towards a vertex
+    eta = 0.8
+    out = project_stack(task, P, G, eta)
+    assert out.shape == P.shape
+    for b in range(rows):
+        single = project_chain_entropic(P[b], G[b], eta, task)
+        assert np.max(np.abs(out[b] - single)) < 1e-12
+        ref = gibbs_chain_projection(task, P[b], G[b], eta)
+        assert np.max(np.abs(out[b] - ref)) < 1e-9
+
+
+def test_chain_stack_rejects_one_nonfinite_row():
+    task = ChainTask(M=3, R=2)
+    rng = np.random.default_rng(11)
+    P = np.stack([random_chain_state(task, rng) for _ in range(4)])
+    G = rng.normal(size=P.shape)
+    G[2, 5] = np.nan
+    with pytest.raises(LayoutError):
+        project_stack(task, P, G, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from maxminsp.datasets import synth_blobs
-from maxminsp.kernels import KernelSpec, gram
+from maxminsp.datasets import synth_blobs, synth_hmm
+from maxminsp.kernels import KernelSpec, gram, median_heuristic
+from maxminsp.oracle import spmp_solve
 from maxminsp.tasks import ChainTask, MulticlassTask
 from maxminsp.trainer import (
     DualModel,
     TrainConfig,
+    _centered_bayes,
+    _oracle_upper,
+    _scores_from_gram,
     dual_gap,
     gbcfw_train,
     m3n_train,
@@ -23,6 +27,13 @@ def fresh_model(task, kernel, xs, ys, lam):
         task=task, kernel=kernel, xs=np.asarray(xs, dtype=float), ys=list(ys),
         lam=lam, dual_mu=phi.copy(), kernel_coeffs=np.zeros_like(phi),
     )
+
+
+def hmm_chain_setup(n=10, seed=1):
+    """A small seeded HMM training set with its chain task and kernel."""
+    ds, _, _ = synth_hmm(n=n, M=3, R=2, seed=seed)
+    kernel = KernelSpec("gaussian", median_heuristic(ds.xs))
+    return (ds.xs, ds.ys), ChainTask(M=3, R=2), kernel
 
 
 def _dual_objective_grid(task, lam, k_self):
@@ -172,3 +183,38 @@ def test_invalid_config_rejected():
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError):
         gbcfw_train((np.zeros((0, 2)), []), MulticlassTask(k=2), TrainConfig())
+
+
+def test_chain_training_end_to_end():
+    data, task, kernel = hmm_chain_setup()
+    cfg = TrainConfig(passes=3, lam=0.1, spmp_iters=20, gap_oracle_iters=100,
+                      seed=0, kernel=kernel)
+    model, report = gbcfw_train(data, task, cfg)
+    assert np.max(np.abs(model.kernel_coeffs - model.coeffs_from_scratch())) < 1e-12
+    for mu in model.dual_mu:
+        task.check_state(mu)
+    objs = [r["dual_objective"] for r in report.records]
+    assert len(objs) == 3 and objs[-1] > objs[0]
+    assert all(r["dual_gap"] >= 0 for r in report.records)
+    for y in predict(model, data[0]):
+        task.check_label(y)
+
+
+def test_chain_dual_gap_matches_per_example_solves():
+    # the certified bound must not move when the per-example oracle solves
+    # are replaced by one solve over all examples
+    data, task, kernel = hmm_chain_setup()
+    cfg = TrainConfig(passes=1, lam=0.1, spmp_iters=20, gap_oracle_iters=20,
+                      seed=0, kernel=kernel)
+    model, _ = gbcfw_train(data, task, cfg)
+    K_gram = gram(model.xs, kernel)
+    V = _scores_from_gram(K_gram, model.kernel_coeffs)
+    Phi = model.embedded_labels()
+    per_example = []
+    for i in range(model.n):
+        res = spmp_solve(V[i], task, K=60)
+        upper = _oracle_upper(task, res.nu_bar, V[i]) - V[i] @ Phi[i]
+        held = V[i] @ (model.dual_mu[i] - Phi[i]) + _centered_bayes(task, model.dual_mu[i])
+        per_example.append(upper - held)
+    gap = dual_gap(model, K_gram=K_gram, oracle_iters=60)
+    assert abs(gap - float(np.mean(per_example))) < 1e-12
