@@ -7,6 +7,7 @@ from .tasks import (
     MulticlassTask,
     OrdinalTask,
     RankingTask,
+    SimplexTask,
     Task,
     make_task,
 )
@@ -15,6 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Task",
+    "SimplexTask",
     "MulticlassTask",
     "OrdinalTask",
     "ChainTask",

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import spmp_solve, spmp_solve_batch_simplex
-from .projections import spmp_constants
-from .tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask, Task
+from .oracle import _mirror_prox, spmp_solve_batch_simplex
+from .tasks import ChainTask, MulticlassTask, RankingTask, SimplexTask, Task
 
 __all__ = [
     "CalibrationEstimate",
@@ -45,22 +44,6 @@ def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> float:
     return float(task.embed(y_hat) @ a_mu) + task.offset - best
 
 
-def _simplex_excess_surrogate(
-    task: Task, V: np.ndarray, Mus: np.ndarray, K: int, eta: float | None
-) -> np.ndarray:
-    """Lower bounds on delta_s(v, mu) for stacked simplex instances.
-
-    delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
-    by the inner minimum at the oracle's averaged max player, keeping the
-    estimate on the honest side.
-    """
-    mu_bars, _, _, _ = spmp_solve_batch_simplex(V, task, K=K, eta=eta)
-    A_mu_bars, A_mus = task.apply_loss_matrix(mu_bars), task.apply_loss_matrix(Mus)
-    omega_lower = A_mu_bars.min(axis=1) + np.einsum("ij,ij->i", V, mu_bars)
-    bayes = A_mus.min(axis=1)
-    return omega_lower - np.einsum("ij,ij->i", V, Mus) - bayes
-
-
 def zeta_bruteforce(
     task: Task,
     eps_grid: list[float],
@@ -77,6 +60,11 @@ def zeta_bruteforce(
     true infimum through limited search; the surrogate side itself is a
     certified lower bound, so reported zeta values never exceed the truth
     because of oracle error.
+
+    delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
+    by the inner minimum at the oracle's averaged max player.  One batched
+    oracle solve covers every search row, with the task's certification step
+    when it has one.
     """
     if task.n_labels() > 24:
         raise ValueError("output space too large for brute-force calibration")
@@ -86,7 +74,7 @@ def zeta_bruteforce(
     if k > 6:
         raise ValueError("embedding dimension too large for the score search")
 
-    if isinstance(task, (MulticlassTask, OrdinalTask)):
+    if isinstance(task, SimplexTask):
         V = rng.normal(size=(search_budget, k)) * scale
         Mus = rng.dirichlet(np.ones(k), size=search_budget)
         # local refinement: resample near the simplex corners where the
@@ -95,21 +83,21 @@ def zeta_bruteforce(
         Mus2 = rng.dirichlet(0.5 * np.ones(k), size=search_budget // 2)
         V = np.vstack([V, V2])
         Mus = np.vstack([Mus, Mus2])
-        eta = 4.0 / spmp_constants(task).l_spmp
-        ds = _simplex_excess_surrogate(task, V, Mus, spmp_iters, eta)
-        dl = np.array([_excess_task_risk(task, V[i], Mus[i]) for i in range(len(V))])
+        mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
+        A_mu_bars, A_mus = task.apply_loss_matrix(mu_bars), task.apply_loss_matrix(Mus)
+        omega_lower = A_mu_bars.min(axis=1) + np.einsum("ij,ij->i", V, mu_bars)
+        ds = omega_lower - np.einsum("ij,ij->i", V, Mus) - A_mus.min(axis=1)
     else:
         V = rng.normal(size=(search_budget, k)) * scale
         Mus = np.stack([_random_state(task, rng) for _ in range(search_budget)])
+        mu_bars = _mirror_prox(V, task, spmp_iters, task.certify_eta)[0][: len(V)]
         ds = np.empty(len(V))
-        dl = np.empty(len(V))
         for i in range(len(V)):
-            res = spmp_solve(V[i], task, K=spmp_iters)
-            low, _ = task.bayes_risk(res.mu_bar)
-            omega_lower = low - task.offset + float(V[i] @ res.mu_bar)
+            low, _ = task.bayes_risk(mu_bars[i])
+            omega_lower = low - task.offset + float(V[i] @ mu_bars[i])
             best, _ = task.bayes_risk(Mus[i])
             ds[i] = omega_lower - float(V[i] @ Mus[i]) - (best - task.offset)
-            dl[i] = _excess_task_risk(task, V[i], Mus[i])
+    dl = np.array([_excess_task_risk(task, V[i], Mus[i]) for i in range(len(V))])
 
     estimate = CalibrationEstimate(task=task, epsilons=eps_grid, zeta_lower={})
     for eps in eps_grid:

@@ -65,9 +65,10 @@ def _mean_loss(task, preds, truths) -> float:
     return float(np.mean([task.loss(p, y) for p, y in zip(preds, truths)]))
 
 
-def _resolve_gamma(kernel_gamma: str, xs: np.ndarray) -> float:
+def _parse_gamma(kernel_gamma: str) -> float | None:
+    """The fixed --kernel-gamma value, or None for the median heuristic."""
     if kernel_gamma == "median":
-        return median_heuristic(xs)
+        return None
     try:
         g = float(kernel_gamma)
     except ValueError:
@@ -77,20 +78,44 @@ def _resolve_gamma(kernel_gamma: str, xs: np.ndarray) -> float:
     return g
 
 
-def _train_once(ds: Dataset, task, method: str, lam: float, passes: int,
-                spmp_iters: int, warm_start: bool, gamma: float, seed: int,
-                idx_train, idx_val, idx_test, scale):
-    xs = scale(ds.xs)
-    cfg = TrainConfig(
-        passes=passes, lam=lam, spmp_iters=spmp_iters, warm_start=warm_start,
-        seed=seed, kernel=KernelSpec("gaussian", gamma), method=method,
-    )
+def _train_split(ds: Dataset, task, name: str, data_hash: int, split_seed: int, grid,
+                 method: str, passes: int, spmp_iters: int, warm_start: bool,
+                 gamma: float | None) -> tuple[list[dict], list[dict]]:
+    """Train every grid value on one seeded split.
+
+    Returns one record per lambda, with its validation and test loss, and
+    the per-pass diagnostics rows of all of them.  gamma None picks the
+    median heuristic on the split's standardized training rows.
+    """
+    idx_train, idx_val, idx_test = _split_indices(len(ds), split_seed, data_hash)
+    xs = _standardize(ds.xs[idx_train])(ds.xs)
+    if gamma is None:
+        gamma = median_heuristic(xs[idx_train])
     train_fn = gbcfw_train if method == "m4n" else m3n_train
     data = (xs[idx_train], [ds.ys[i] for i in idx_train])
-    model, report = train_fn(data, task, cfg)
-    val_loss = _mean_loss(task, predict(model, xs[idx_val]), [ds.ys[i] for i in idx_val]) if len(idx_val) else math.nan
-    test_loss = _mean_loss(task, predict(model, xs[idx_test]), [ds.ys[i] for i in idx_test]) if len(idx_test) else math.nan
-    return model, report, val_loss, test_loss
+    records, diagnostics = [], []
+    for lam in grid:
+        cfg = TrainConfig(
+            passes=passes, lam=lam, spmp_iters=spmp_iters, warm_start=warm_start,
+            seed=split_seed, kernel=KernelSpec("gaussian", gamma),
+        )
+        model, report = train_fn(data, task, cfg)
+        val_loss, test_loss = (
+            _mean_loss(task, predict(model, xs[idx]), [ds.ys[i] for i in idx]) if len(idx) else math.nan
+            for idx in (idx_val, idx_test)
+        )
+        records.append({
+            "dataset": name, "method": method, "split_seed": split_seed,
+            "lambda": lam, "val_loss": val_loss, "test_loss": test_loss,
+            "passes": passes, "K": spmp_iters, "warm_start": warm_start,
+        })
+        for r in report.records:
+            diagnostics.append({
+                "dataset": name, "method": method, "split_seed": split_seed,
+                "lambda": lam, **{k: v for k, v in r.items() if k != "wall_s"},
+                "wall_ms": r["wall_s"] * 1000.0,
+            })
+    return records, diagnostics
 
 
 def _emit(out_dir: Path, results: list[dict], diagnostics: list[dict]):
@@ -187,44 +212,30 @@ def _parse_grid(lam, lambda_grid):
     return grid
 
 
+def _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma):
+    """Dataset, task, lambda grid and fixed gamma; exits 2 on bad input."""
+    ds = _load(data, task_kind)
+    task = _make_task_for(ds)
+    try:
+        return ds, task, _parse_grid(lam, lambda_grid), _parse_gamma(kernel_gamma)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
+
+
 @main.command()
 @_common_train_options
 def train(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
           warm_start, kernel_gamma, seed, out):
     """One training run on a single seeded 60/20/20 split."""
-    ds = _load(data, task_kind)
-    task = _make_task_for(ds)
+    ds, task, grid, gamma = _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma)
     try:
-        grid = _parse_grid(lam, lambda_grid)
-        idx_train, idx_val, idx_test = _split_indices(len(ds), seed, _file_hash(data))
-        scale = _standardize(ds.xs[idx_train])
-        gamma = _resolve_gamma(kernel_gamma, scale(ds.xs[idx_train]))
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    results, diagnostics = [], []
-    try:
-        best = None
-        for g_lam in grid:
-            model, report, val_loss, test_loss = _train_once(
-                ds, task, method, g_lam, passes, spmp_iters, warm_start == "on",
-                gamma, seed, idx_train, idx_val, idx_test, scale)
-            rec = {
-                "dataset": Path(data).name, "method": method, "split_seed": seed,
-                "lambda": g_lam, "val_loss": val_loss, "test_loss": test_loss,
-                "passes": passes, "K": spmp_iters, "warm_start": warm_start == "on",
-            }
-            for r in report.records:
-                diagnostics.append({
-                    "dataset": Path(data).name, "method": method, "split_seed": seed,
-                    "lambda": g_lam, **{k: v for k, v in r.items() if k != "wall_s"},
-                    "wall_ms": r["wall_s"] * 1000.0,
-                })
-            if best is None or val_loss < best["val_loss"]:
-                best = rec
-            results.append(rec)
+        results, diagnostics = _train_split(
+            ds, task, Path(data).name, _file_hash(data), seed, grid, method,
+            passes, spmp_iters, warm_start == "on", gamma)
     except (RuntimeError, ValueError) as exc:
         _fail(EXIT_TRAIN, str(exc))
     _emit(Path(out), results, diagnostics)
+    best = min(results, key=lambda r: r["val_loss"])
     click.echo(_table(results, ["dataset", "method", "lambda", "val_loss", "test_loss"]))
     click.echo(f"selected lambda={best['lambda']} test_loss={best['test_loss']:.4f}")
 
@@ -235,39 +246,16 @@ def train(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
           warm_start, kernel_gamma, seed, out, splits):
     """Full protocol: seeded splits, lambda selected on validation."""
-    ds = _load(data, task_kind)
-    task = _make_task_for(ds)
-    try:
-        grid = _parse_grid(lam, lambda_grid)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    ds, task, grid, gamma = _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma)
     data_hash = _file_hash(data)
     results, diagnostics = [], []
     try:
-        for split in range(splits):
-            split_seed = seed + split
-            idx_train, idx_val, idx_test = _split_indices(len(ds), split_seed, data_hash)
-            scale = _standardize(ds.xs[idx_train])
-            gamma = _resolve_gamma(kernel_gamma, scale(ds.xs[idx_train]))
-            best = None
-            for g_lam in grid:
-                _, report, val_loss, test_loss = _train_once(
-                    ds, task, method, g_lam, passes, spmp_iters, warm_start == "on",
-                    gamma, split_seed, idx_train, idx_val, idx_test, scale)
-                for r in report.records:
-                    diagnostics.append({
-                        "dataset": Path(data).name, "method": method,
-                        "split_seed": split_seed, "lambda": g_lam,
-                        **{k: v for k, v in r.items() if k != "wall_s"},
-                        "wall_ms": r["wall_s"] * 1000.0,
-                    })
-                if best is None or val_loss < best[0]:
-                    best = (val_loss, g_lam, test_loss)
-            results.append({
-                "dataset": Path(data).name, "method": method, "split_seed": split_seed,
-                "lambda": best[1], "val_loss": best[0], "test_loss": best[2],
-                "passes": passes, "K": spmp_iters, "warm_start": warm_start == "on",
-            })
+        for split_seed in range(seed, seed + splits):
+            records, rows = _train_split(
+                ds, task, Path(data).name, data_hash, split_seed, grid, method,
+                passes, spmp_iters, warm_start == "on", gamma)
+            results.append(min(records, key=lambda r: r["val_loss"]))
+            diagnostics += rows
     except (RuntimeError, ValueError) as exc:
         _fail(EXIT_TRAIN, str(exc))
     _emit(Path(out), results, diagnostics)
@@ -285,7 +273,7 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 @click.option("--task", "task_kind", required=True,
               type=click.Choice(["multiclass", "ordinal", "chain", "ranking"]))
 @click.option("--k", default=3, show_default=True)
-@click.option("--chain-m", default=2, show_default=True)
+@click.option("--chain-m", default=1, show_default=True)
 @click.option("--chain-r", default=2, show_default=True)
 @click.option("--rank-m", default=3, show_default=True)
 @click.option("--budget", default=20000, show_default=True)

@@ -58,9 +58,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ys)
 
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.xs[idx], [self.ys[i] for i in idx], self.task_kind, dict(self.task_params))
-
 
 # ---------------------------------------------------------------------------
 # parsing

@@ -6,20 +6,20 @@ max/min over the polytope vertices.  One engine, `_mirror_prox`, serves
 every task and batch size: it solves a (B, dim) stack of score vectors at
 once, and since both players live on the same polytope it keeps them as
 one (2B, dim) stack, so each half-step is one apply-A and one projection
-call.  `spmp_solve` is a one-vector call into it, `trainer.dual_gap`
-certifies all examples with one call, and `spmp_solve_batch_simplex` is
-the guarded entry for simplex stacks.
+call.  The polytope enters only through the task: its `project_stack`,
+`apply_loss_matrix`, `l_spmp` and `r2`.  `spmp_solve` is a one-vector call
+into the engine, `trainer.dual_gap` certifies all examples with one call,
+and `spmp_solve_batch_simplex` is the guarded entry for simplex stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .projections import PROB_FLOOR, SinkhornConvergenceError, spmp_constants, stack_projector
-from .tasks import LayoutError, MulticlassTask, OrdinalTask, Task
+from .projections import PROB_FLOOR, SinkhornConvergenceError
+from .tasks import LayoutError, SimplexTask, Task
 
 __all__ = [
     "OracleResult",
@@ -37,7 +37,6 @@ class OracleResult:
     mu_bar: np.ndarray
     nu_bar: np.ndarray
     gap: float
-    iterations: int
     saddle_value: float
     mu_last: np.ndarray | None = None
     nu_last: np.ndarray | None = None
@@ -66,8 +65,7 @@ def _mirror_prox(
     K: int,
     eta: float | None = None,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    stop: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
     The iterate is one (2B, dim) stack X: rows :B are the max players mu,
@@ -77,9 +75,7 @@ def _mirror_prox(
     is 1/(2 L) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
-    or B rows each, already inside the polytope.  stop, when given, sees
-    the running average every 5 rounds and ends the solve when it returns
-    true.  Returns (X_bar, X_last, rounds run).
+    or B rows each, already inside the polytope.  Returns (X_bar, X_last).
     """
     if K < 1:
         raise ValueError("iteration budget must be >= 1")
@@ -88,10 +84,9 @@ def _mirror_prox(
     if not np.all(np.isfinite(V)):
         raise LayoutError("non-finite scores")
     B = V.shape[0]
-    mm = spmp_constants(task)
-    rate = (1.0 / (2.0 * mm.l_spmp) if eta is None else eta) * mm.r2
+    rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
     apply_a = task.apply_loss_matrix
-    proj = stack_projector(task)
+    proj = task.project_stack
     if init is None:
         X = np.tile(task.uniform_state(), (2 * B, 1))
     else:
@@ -112,9 +107,7 @@ def _mirror_prox(
                 f"projection failed at iteration {it} ({player} player): {exc}"
             ) from exc
         X_sum += X_half
-        if stop is not None and (it + 1) % 5 == 0 and stop(X_sum / (it + 1)):
-            return X_sum / (it + 1), X, it + 1
-    return X_sum / K, X, K
+    return X_sum / K, X
 
 
 def spmp_solve_batch_simplex(
@@ -130,9 +123,9 @@ def spmp_solve_batch_simplex(
     iterates followed by the final full-step iterates, each shaped like V.
     Only simplex-polytope tasks are supported.
     """
-    if not isinstance(task, (MulticlassTask, OrdinalTask)):
+    if not isinstance(task, SimplexTask):
         raise ValueError("batched solves only support simplex polytopes")
-    X_bar, X, _ = _mirror_prox(V, task, K, eta, init)
+    X_bar, X = _mirror_prox(V, task, K, eta, init)
     B = len(X) // 2
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
 
@@ -143,33 +136,24 @@ def spmp_solve(
     init: tuple[np.ndarray, np.ndarray] | None = None,
     K: int = 100,
     eta: float | None = None,
-    stop_gap: float | None = None,
 ) -> OracleResult:
     """Extra-gradient saddle solver for one score vector.
 
     See `_mirror_prox` for the rounds and the default eta.  A warm-start
-    init is floored and checked against the polytope.  When stop_gap is
-    set, the certified gap of the running averages is checked every 5
-    rounds and the solve returns early once it drops below.
+    init is floored and checked against the polytope.
     """
     v = np.asarray(v, dtype=float)
     if init is not None:
         init = tuple(np.maximum(np.asarray(x, dtype=float), PROB_FLOOR) for x in init)
         task.check_state(init[0])
         task.check_state(init[1])
-    stop = None
-    if stop_gap is not None:
-        def stop(X_bar):
-            return certified_gap(X_bar[0], X_bar[1], v, task) <= stop_gap
-
-    (mu_bar, nu_bar), (mu, nu), done = _mirror_prox(v, task, K, eta, init, stop)
+    (mu_bar, nu_bar), (mu, nu) = _mirror_prox(v, task, K, eta, init)
     gap = certified_gap(mu_bar, nu_bar, v, task)
     saddle = float(nu_bar @ task.apply_loss_matrix(mu_bar)) + float(v @ mu_bar) + task.offset
     return OracleResult(
         mu_bar=mu_bar,
         nu_bar=nu_bar,
         gap=gap,
-        iterations=done,
         saddle_value=saddle,
         mu_last=mu,
         nu_last=nu,

@@ -1,4 +1,4 @@
-"""Bregman projections onto marginal polytopes and mirror-map constants.
+"""Bregman projections onto marginal polytopes: the stack kernels.
 
 Each projection solves  argmin_{mu in M}  -eta * mu^T grad + D_{-H}(mu, mu_prev)
 for the polytope's entropy H:  softmax on the simplex, log-domain
@@ -7,32 +7,31 @@ doubly stochastic matrices.  `grad` is always an ascent direction for the
 caller's objective.
 
 Every projection works on a stack: row b of a (B, dim) array is projected
-with row b of the gradient stack, independently of the other rows.
-`stack_projector` picks a task's unchecked stack kernel once, for solvers
-that keep their iterates inside the polytope; `project_stack` checks its
-inputs first, and the one-vector functions wrap it.
+with row b of the gradient stack, independently of the other rows.  The
+kernels take arrays and shape integers only; each task's `project_stack`
+picks its kernel, unchecked, for solvers that keep their iterates inside
+the polytope.  `project_stack` here checks its inputs first, and the
+one-vector functions wrap it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tasks import ChainTask, LayoutError, MulticlassTask, OrdinalTask, RankingTask, Task
+if TYPE_CHECKING:
+    from .tasks import ChainTask, Task
 
 __all__ = [
-    "MirrorMap",
+    "LayoutError",
     "SinkhornConvergenceError",
     "project",
     "project_stack",
-    "stack_projector",
     "project_simplex_entropic",
     "project_chain_entropic",
     "project_birkhoff_sinkhorn",
-    "spmp_constants",
     "PROB_FLOOR",
 ]
 
@@ -42,6 +41,10 @@ PROB_FLOOR = 1e-12
 
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 10_000
+
+
+class LayoutError(ValueError):
+    """Raised when a vector does not match the task's polytope layout."""
 
 
 class SinkhornConvergenceError(RuntimeError):
@@ -72,15 +75,16 @@ def _softmax_stack(P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
     return np.maximum(Q, PROB_FLOOR, out=Q)
 
 
-def _chain_stack(P: np.ndarray, G: np.ndarray, eta: float, task: ChainTask) -> np.ndarray:
+def _chain_stack(P: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> np.ndarray:
     """Exact Bregman projection under the junction-tree chain entropy, per row.
 
     H(mu) = sum_m H_S(mu_{m,m+1}) - sum_{interior m} H_S(mu_m); the
     projection equals marginal inference on a chain with log-potentials
     assembled from log(P) and eta*G, computed by sum-product in the log
-    domain for all rows at once.
+    domain for all rows at once.  Rows are laid out as M unary blocks of R
+    followed by M-1 pairwise blocks of R*R.
     """
-    M, R, U = task.M, task.R, task.unary_dim
+    U = M * R
     B = P.shape[0]
     if M == 1:
         return _softmax_stack(P, G, eta)
@@ -158,22 +162,6 @@ def _sinkhorn_stack(
     return np.maximum(out, PROB_FLOOR, out=out)
 
 
-def stack_projector(task: Task) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
-    """The task's stack projection (P, G, eta) -> Q, unchecked.
-
-    Rows of P must be at or above PROB_FLOOR and G must be finite.
-    """
-    if isinstance(task, (MulticlassTask, OrdinalTask)):
-        return _softmax_stack
-    if isinstance(task, ChainTask):
-        return lambda P, G, eta: _chain_stack(P, G, eta, task)
-    if isinstance(task, RankingTask):
-        # near-vertex iterates slow Sinkhorn's linear rate; give the inner
-        # loop room beyond the stand-alone default
-        return lambda P, G, eta: _sinkhorn_stack(P, G, eta, max_iter=10 * SINKHORN_MAX_ITER)
-    raise ValueError(f"unknown task {task!r}")
-
-
 def _checked(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float point and gradient stacks: P floored, G rejected unless finite."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -186,7 +174,7 @@ def _checked(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_stack(task: Task, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
     """Bregman projection of each row of P along the matching row of G."""
     P, G = _checked(P, G)
-    return stack_projector(task)(P, G, eta)
+    return task.project_stack(P, G, eta)
 
 
 def project(task: Task, mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -203,7 +191,7 @@ def project_chain_entropic(
     mu_prev: np.ndarray, grad: np.ndarray, eta: float, task: ChainTask
 ) -> np.ndarray:
     """Exact Bregman projection of one point under the chain entropy."""
-    return _chain_stack(*_checked(mu_prev, grad), eta, task)[0]
+    return _chain_stack(*_checked(mu_prev, grad), eta, task.M, task.R)[0]
 
 
 def project_birkhoff_sinkhorn(
@@ -215,106 +203,3 @@ def project_birkhoff_sinkhorn(
 ) -> np.ndarray:
     """Sinkhorn-Knopp projection of one point under the entry-wise entropy."""
     return _sinkhorn_stack(*_checked(mu_prev, grad), eta, tol, max_iter)[0]
-
-
-# ---------------------------------------------------------------------------
-# entropies and smoothness constants
-
-
-def _shannon(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
-
-def simplex_entropy(mu: np.ndarray) -> float:
-    return _shannon(mu)
-
-
-def chain_entropy(mu: np.ndarray, task: ChainTask) -> float:
-    """Junction-tree entropy: pairwise entropies minus interior unaries."""
-    u, p = task.split(mu)
-    if task.M == 1:
-        return _shannon(u[0])
-    h = sum(_shannon(p[m]) for m in range(task.M - 1))
-    h -= sum(_shannon(u[m]) for m in range(1, task.M - 1))
-    return h
-
-
-def birkhoff_entropy(mu: np.ndarray) -> float:
-    return _shannon(mu)
-
-
-@dataclass(frozen=True)
-class MirrorMap:
-    """Entropy and smoothness data driving the saddle-point solver."""
-
-    kind: str
-    entropy: Callable[[np.ndarray], float]
-    sigma: float
-    r2: float  # entropy range (max H - min H), shared by both players
-    betas: tuple[float, float, float, float]
-    l_spmp: float
-
-    def __post_init__(self):
-        b11, b12, b21, b22 = self.betas
-        expected = max(b11 * self.r2, b22 * self.r2, b12 * self.r2, b21 * self.r2)
-        if not math.isclose(self.l_spmp, expected, rel_tol=1e-9):
-            raise ValueError("inconsistent smoothness bundle")
-
-
-def polytope_diameter_sq(task: Task) -> float:
-    """max ||phi(y) - phi(y')||_2^2 over the output space."""
-    if isinstance(task, (MulticlassTask, OrdinalTask)):
-        return 2.0
-    if isinstance(task, ChainTask):
-        return 4.0 * task.M - 2.0
-    if isinstance(task, RankingTask):
-        return 2.0 * task.M
-    raise ValueError(f"unknown task {task!r}")
-
-
-def spmp_constants(task: Task) -> MirrorMap:
-    """Per-task mirror map with the theory step-size constant.
-
-    Chains (and simplex tasks as length-1 chains) use
-    max_m ||L_m||_2 * diam(M)^2 * M log R; rankings use M.
-    """
-    diam2 = polytope_diameter_sq(task)
-    if isinstance(task, (MulticlassTask, OrdinalTask)):
-        if isinstance(task, OrdinalTask):
-            a_norm = float(np.linalg.norm(task.loss_matrix(), 2))
-        else:
-            a_norm = 1.0
-        r2 = math.log(task.k)
-        b = a_norm * diam2
-        return MirrorMap(
-            kind=task.kind,
-            entropy=simplex_entropy,
-            sigma=1.0,
-            r2=r2,
-            betas=(0.0, b, b, b),
-            l_spmp=b * r2,
-        )
-    if isinstance(task, ChainTask):
-        lm_norm = float(np.linalg.norm(task.part_loss_matrix(), 2))
-        r2 = task.M * math.log(task.R)
-        b = lm_norm * diam2
-        return MirrorMap(
-            kind=task.kind,
-            entropy=lambda mu, _t=task: chain_entropy(mu, _t),
-            sigma=1.0,
-            r2=r2,
-            betas=(0.0, b, b, b),
-            l_spmp=b * r2,
-        )
-    if isinstance(task, RankingTask):
-        return MirrorMap(
-            kind=task.kind,
-            entropy=birkhoff_entropy,
-            sigma=1.0,
-            r2=float(task.M),
-            betas=(0.0, 1.0, 1.0, 1.0),
-            l_spmp=float(task.M),
-        )
-    raise ValueError(f"unknown task {task!r}")

@@ -6,6 +6,9 @@ A (dense for multiclass/ordinal, block-diagonal unary blocks for chains,
 -I/M for rankings).  Optimization always runs on the centered bilinear part;
 the offset `a` is re-added whenever a human-readable loss or risk is
 reported.
+
+Each task also owns its marginal polytope: the stack projection under the
+polytope's entropy and the constants that set the saddle solver's step.
 """
 
 from __future__ import annotations
@@ -13,13 +16,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .projections import (
+    SINKHORN_MAX_ITER,
+    LayoutError,
+    _chain_stack,
+    _sinkhorn_stack,
+    _softmax_stack,
+)
+
 __all__ = [
     "Task",
+    "SimplexTask",
     "MulticlassTask",
     "OrdinalTask",
     "ChainTask",
@@ -37,21 +50,28 @@ class InvalidLabelError(ValueError):
     """Raised when a label is not a member of the task's output space."""
 
 
-class LayoutError(ValueError):
-    """Raised when a vector does not match the task's polytope layout."""
-
-
 def _check_finite(v: np.ndarray, what: str = "scores") -> None:
     if not np.all(np.isfinite(v)):
         raise LayoutError(f"non-finite {what}")
 
 
 class Task:
-    """Base class; concrete tasks fill in the embedding and decoders."""
+    """Base class; concrete tasks fill in the embedding, decoders and polytope.
+
+    Polytope constants: `r2` is the entropy range (max H - min H), shared
+    by both saddle players; `diameter_sq` is max ||phi(y) - phi(y')||_2^2;
+    `l_spmp` is the theory smoothness constant of the saddle problem.
+    `certify_eta`, when set, is the step used when the solver only
+    certifies a bound.
+    """
 
     kind: str
     embed_dim: int
     offset: float
+    r2: float
+    diameter_sq: float
+    l_spmp: float
+    certify_eta: float | None = None
 
     # -- labels ----------------------------------------------------------
     def check_label(self, y) -> None:
@@ -113,6 +133,13 @@ class Task:
         """Validate the polytope layout invariants of mu."""
         raise NotImplementedError
 
+    def project_stack(self, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
+        """Bregman projection of each row of P along the row of G, unchecked.
+
+        Rows of P must be at or above PROB_FLOOR and G must be finite.
+        """
+        raise NotImplementedError
+
 
 def _first_argmax(scores: np.ndarray) -> int:
     # exact comparison: np.argmax returns the first maximizer
@@ -120,87 +147,43 @@ def _first_argmax(scores: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class MulticlassTask(Task):
-    """k classes, 0-1 loss.  phi(y) = e_y, A = -I, a = 1."""
+class SimplexTask(Task):
+    """k labels 1..k as simplex vertices phi(y) = e_y.
 
-    k: int
-    kind: str = "multiclass"
-
-    @property
-    def embed_dim(self) -> int:
-        return self.k
-
-    @property
-    def offset(self) -> float:
-        return 1.0
-
-    def check_label(self, y) -> None:
-        if not isinstance(y, (int, np.integer)) or not 1 <= y <= self.k:
-            raise InvalidLabelError(f"label {y!r} not in 1..{self.k}")
-
-    def labels(self):
-        return iter(range(1, self.k + 1))
-
-    def n_labels(self) -> int:
-        return self.k
-
-    def random_label(self, rng):
-        return int(rng.integers(1, self.k + 1))
-
-    def embed(self, y):
-        self.check_label(y)
-        e = np.zeros(self.k)
-        e[y - 1] = 1.0
-        return e
-
-    def decode_embedding(self, e):
-        idx = np.flatnonzero(np.asarray(e) > 0.5)
-        if idx.size != 1:
-            raise InvalidLabelError("not a one-hot embedding")
-        return int(idx[0]) + 1
-
-    def apply_loss_matrix(self, mu):
-        return -np.asarray(mu, dtype=float)
-
-    def decode(self, v):
-        v = np.asarray(v, dtype=float)
-        _check_finite(v)
-        if v.shape != (self.k,):
-            raise LayoutError(f"expected shape ({self.k},), got {v.shape}")
-        return _first_argmax(v) + 1
-
-    def uniform_state(self):
-        return np.full(self.k, 1.0 / self.k)
-
-    def check_state(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.k,):
-            raise LayoutError(f"simplex point of dim {self.k} expected")
-        if np.any(mu < -1e-12) or abs(mu.sum() - 1.0) > 1e-9:
-            raise LayoutError("not a probability vector")
-
-
-@dataclass(frozen=True)
-class OrdinalTask(Task):
-    """k ordered classes with absolute-difference loss |y - y'|.
-
-    phi(y) = e_y and A_ij = |i - j|, a = 0.
+    Subclasses supply `kind`, `offset` and the dense `loss_matrix()`.  The
+    smoothness constant is ||A||_2 * diameter_sq * log k, the chain formula
+    for a single position.
     """
 
     k: int
-    kind: str = "ordinal"
+    diameter_sq = 2.0
 
     @property
     def embed_dim(self) -> int:
         return self.k
 
-    @property
-    def offset(self) -> float:
-        return 0.0
-
     def loss_matrix(self) -> np.ndarray:
-        idx = np.arange(1, self.k + 1)
-        return np.abs(idx[:, None] - idx[None, :]).astype(float)
+        """The centered loss matrix A."""
+        raise NotImplementedError
+
+    @cached_property
+    def loss_norm(self) -> float:
+        """Spectral norm of A."""
+        return float(np.linalg.norm(self.loss_matrix(), 2))
+
+    @cached_property
+    def r2(self) -> float:
+        return math.log(self.k)
+
+    @cached_property
+    def l_spmp(self) -> float:
+        return self.loss_norm * self.diameter_sq * self.r2
+
+    @cached_property
+    def certify_eta(self) -> float:
+        # certification only: a step well above the worst-case-safe
+        # default tightens the bound at equal budget
+        return 4.0 / self.l_spmp
 
     def check_label(self, y) -> None:
         if not isinstance(y, (int, np.integer)) or not 1 <= y <= self.k:
@@ -247,6 +230,39 @@ class OrdinalTask(Task):
         if np.any(mu < -1e-12) or abs(mu.sum() - 1.0) > 1e-9:
             raise LayoutError("not a probability vector")
 
+    def project_stack(self, P, G, eta):
+        return _softmax_stack(P, G, eta)
+
+
+@dataclass(frozen=True)
+class MulticlassTask(SimplexTask):
+    """k classes, 0-1 loss.  phi(y) = e_y, A = -I, a = 1."""
+
+    kind: str = "multiclass"
+    offset = 1.0
+    loss_norm = 1.0
+
+    def loss_matrix(self):
+        return -np.eye(self.k)
+
+    def apply_loss_matrix(self, mu):
+        return -np.asarray(mu, dtype=float)
+
+
+@dataclass(frozen=True)
+class OrdinalTask(SimplexTask):
+    """k ordered classes with absolute-difference loss |y - y'|.
+
+    phi(y) = e_y and A_ij = |i - j|, a = 0.
+    """
+
+    kind: str = "ordinal"
+    offset = 0.0
+
+    def loss_matrix(self):
+        idx = np.arange(1, self.k + 1)
+        return np.abs(idx[:, None] - idx[None, :]).astype(float)
+
 
 @dataclass(frozen=True)
 class ChainTask(Task):
@@ -276,6 +292,20 @@ class ChainTask(Task):
     def part_loss_matrix(self) -> np.ndarray:
         """Per-position 0-1 loss matrix (unnormalized)."""
         return 1.0 - np.eye(self.R)
+
+    @property
+    def diameter_sq(self) -> float:
+        return 4.0 * self.M - 2.0
+
+    @cached_property
+    def r2(self) -> float:
+        return self.M * math.log(self.R)
+
+    @cached_property
+    def l_spmp(self) -> float:
+        """max_m ||L_m||_2 * diameter_sq * M log R."""
+        lm_norm = float(np.linalg.norm(self.part_loss_matrix(), 2))
+        return lm_norm * self.diameter_sq * self.r2
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M, R) unary view and (M-1, R, R) pairwise view of a layout vector."""
@@ -382,6 +412,9 @@ class ChainTask(Task):
             if np.max(np.abs(p[m].sum(axis=0) - u[m + 1])) > 1e-8:
                 raise LayoutError(f"pairwise block {m} inconsistent with unary {m + 1}")
 
+    def project_stack(self, P, G, eta):
+        return _chain_stack(P, G, eta, self.M, self.R)
+
 
 @dataclass(frozen=True)
 class RankingTask(Task):
@@ -402,6 +435,18 @@ class RankingTask(Task):
     @property
     def offset(self) -> float:
         return 1.0
+
+    @property
+    def diameter_sq(self) -> float:
+        return 2.0 * self.M
+
+    @property
+    def r2(self) -> float:
+        return float(self.M)
+
+    @property
+    def l_spmp(self) -> float:
+        return float(self.M)
 
     def check_label(self, y) -> None:
         if len(y) != self.M or sorted(y) != list(range(1, self.M + 1)):
@@ -486,6 +531,11 @@ class RankingTask(Task):
             raise LayoutError("row sums deviate from 1")
         if np.max(np.abs(Q.sum(axis=0) - 1.0)) > 1e-6:
             raise LayoutError("column sums deviate from 1")
+
+    def project_stack(self, P, G, eta):
+        # near-vertex iterates slow Sinkhorn's linear rate; give the inner
+        # loop room beyond the stand-alone default
+        return _sinkhorn_stack(P, G, eta, max_iter=10 * SINKHORN_MAX_ITER)
 
 
 def make_task(kind: str, **params) -> Task:

@@ -18,8 +18,7 @@ import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
 from .oracle import WarmStartCache, _mirror_prox, spmp_solve
-from .projections import polytope_diameter_sq, spmp_constants
-from .tasks import MulticlassTask, OrdinalTask, Task
+from .tasks import Task
 
 __all__ = [
     "TrainConfig",
@@ -39,10 +38,7 @@ class TrainConfig:
     spmp_iters: int = 20
     warm_start: bool = True
     seed: int = 0
-    oracle_error_delta: float | None = None
-    average_weights: bool = False
     kernel: KernelSpec | None = None
-    method: str = "m4n"
     gap_oracle_iters: int = 500
 
     def __post_init__(self):
@@ -50,8 +46,6 @@ class TrainConfig:
             raise ValueError("lambda must be positive")
         if self.spmp_iters < 1:
             raise ValueError("oracle budget must be >= 1")
-        if self.method not in ("m4n", "m3n"):
-            raise ValueError("method must be 'm4n' or 'm3n'")
 
 
 @dataclass
@@ -80,7 +74,6 @@ class DualModel:
 @dataclass
 class TrainReport:
     records: list[dict] = field(default_factory=list)
-    test_metrics: dict = field(default_factory=dict)
 
 
 def _scores_from_gram(K_rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -109,8 +102,6 @@ def _oracle_upper(task: Task, nu_bar: np.ndarray, v: np.ndarray) -> float:
 
 def dual_gap(
     model: DualModel,
-    data=None,
-    task: Task | None = None,
     K_gram: np.ndarray | None = None,
     oracle_iters: int = 500,
     oracle_eta: float | None = None,
@@ -120,9 +111,10 @@ def dual_gap(
     Per example:  max_mu' H_i(mu', w) - H_i(mu_i, w)  with
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
     bounded from above through the oracle's min player.  One oracle solve
-    covers all examples.
+    covers all examples, with the task's certification step unless
+    oracle_eta is given.
     """
-    task = task or model.task
+    task = model.task
     if K_gram is None:
         K_gram = gram(model.xs, model.kernel)
     V = _scores_from_gram(K_gram, model.kernel_coeffs)
@@ -130,11 +122,8 @@ def dual_gap(
     n = model.n
     held = np.einsum("ij,ij->i", V, model.dual_mu - Phi)
     held += np.array([_centered_bayes(task, model.dual_mu[i]) for i in range(n)])
-    if oracle_eta is None and isinstance(task, (MulticlassTask, OrdinalTask)):
-        # certification only: a step well above the worst-case-safe
-        # default tightens the bound at equal budget
-        oracle_eta = 4.0 / spmp_constants(task).l_spmp
-    X_bar, _, _ = _mirror_prox(V, task, oracle_iters, oracle_eta)
+    eta = task.certify_eta if oracle_eta is None else oracle_eta
+    X_bar, _ = _mirror_prox(V, task, oracle_iters, eta)
     nu_bars = X_bar[n:]
     uppers = np.array(
         [_oracle_upper(task, nu_bars[i], V[i]) - V[i] @ Phi[i] for i in range(n)]
@@ -167,9 +156,6 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
 
     rng = np.random.default_rng(cfg.seed)
     cache = WarmStartCache(task) if cfg.warm_start else None
-    mm = spmp_constants(task) if method == "m4n" else None
-    diam2 = polytope_diameter_sq(task)
-    avg_coeffs = coeffs.copy() if cfg.average_weights else None
 
     t = 0
     t0 = time.perf_counter()
@@ -179,12 +165,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             i = int(rng.integers(n))
             v_i = _scores_from_gram(K_gram[i], coeffs)
             if method == "m4n":
-                stop = None
-                if cfg.oracle_error_delta is not None:
-                    gamma_t = 2.0 * n / (t + 2.0 * n)
-                    stop = 0.5 * cfg.oracle_error_delta * gamma_t * mm.l_spmp * diam2
                 init = cache.lookup(i) if cache is not None else None
-                res = spmp_solve(v_i, task, init=init, K=cfg.spmp_iters, stop_gap=stop)
+                res = spmp_solve(v_i, task, init=init, K=cfg.spmp_iters)
                 direction = res.mu_bar
                 pass_gaps.append(res.gap)
                 if cache is not None:
@@ -195,10 +177,6 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             gamma = 2.0 * n / (t + 2.0 * n)
             mu[i] = (1.0 - gamma) * mu[i] + gamma * direction
             coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
-            if avg_coeffs is not None:
-                rho = 2.0 / (t + 2.0)
-                avg_coeffs *= 1.0 - rho
-                avg_coeffs += rho * coeffs
             t += 1
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
         dual_obj = float(
@@ -217,8 +195,6 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         )
         if gap < -1e-6:
             raise RuntimeError(f"negative dual gap {gap} at pass {p + 1}")
-    if avg_coeffs is not None:
-        model.kernel_coeffs = avg_coeffs
     return model, report
 
 

@@ -25,7 +25,6 @@ from maxminsp.projections import (
     project_birkhoff_sinkhorn,
     project_chain_entropic,
     project_simplex_entropic,
-    spmp_constants,
 )
 from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask
 from maxminsp.trainer import TrainConfig, dual_gap, gbcfw_train, m3n_train, predict
@@ -56,7 +55,7 @@ def test_criterion_1_closed_form_oracle_agreement():
         (OrdinalTask(k=3), _ordinal_closed_form),
         (OrdinalTask(k=4), _ordinal_closed_form),
     ]:
-        L = spmp_constants(task).l_spmp
+        L = task.l_spmp
         k = task.embed_dim
         n_each = 200 // 3 + 1
         V = rng.normal(size=(n_each, k)) * 1.5
@@ -84,7 +83,7 @@ def test_criterion_2_oracle_rate_bound():
     worst_ratio = 0.0
     for k in (3, 5):
         task = MulticlassTask(k=k)
-        L = spmp_constants(task).l_spmp
+        L = task.l_spmp
         V = rng.normal(size=(50, k)) * 2
         for K in (10, 40, 160):
             bound = 4.0 * L / K + 1e-6
@@ -239,7 +238,6 @@ def _bayes_agreement(method_train, ds, bayes, gamma, lam, seed):
     cfg = TrainConfig(
         passes=10, lam=lam, spmp_iters=20, seed=seed, gap_oracle_iters=100,
         kernel=KernelSpec("gaussian", gamma=gamma),
-        method="m4n" if method_train is gbcfw_train else "m3n",
     )
     model, _ = method_train((xs_tr, ys_tr), task, cfg)
     preds = predict(model, xs_te)

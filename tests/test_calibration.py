@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from maxminsp import calibration
 from maxminsp.calibration import (
     _excess_task_risk,
     constant_c,
     ranking_d_bound,
     zeta_bruteforce,
 )
+from maxminsp.oracle import spmp_solve
 from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 
 
@@ -99,3 +101,24 @@ def test_excess_task_risk_zero_at_optimal_decode():
     # scores pointing elsewhere pay the probability difference
     v_bad = np.array([0.0, 1.0, 0.0])
     assert abs(_excess_task_risk(task, v_bad, mu) - 0.5) < 1e-12
+
+
+def test_zeta_batched_solve_matches_per_row_solves(monkeypatch):
+    # zeta_bruteforce solves all chain search rows in one engine call; the
+    # estimate must equal the one built from one spmp_solve per row
+    task = ChainTask(M=1, R=3)
+    eps = [0.1, 0.3, 0.5]
+    kwargs = dict(search_budget=60, seed=4, spmp_iters=300)
+    batched = zeta_bruteforce(task, eps, **kwargs)
+
+    def per_row(V, task, K, eta):
+        rows = [spmp_solve(v, task, K=K, eta=eta) for v in V]
+        mu, nu = (np.stack([getattr(r, name) for r in rows]) for name in ("mu_bar", "nu_bar"))
+        return np.vstack([mu, nu]), None
+
+    monkeypatch.setattr(calibration, "_mirror_prox", per_row)
+    looped = zeta_bruteforce(task, eps, **kwargs)
+    assert batched.zeta_lower == looped.zeta_lower
+    assert batched.witnesses.keys() == looped.witnesses.keys()
+    for e, (v, mu) in batched.witnesses.items():
+        assert (v == looped.witnesses[e][0]).all() and (mu == looped.witnesses[e][1]).all()

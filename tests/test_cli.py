@@ -147,3 +147,21 @@ def test_calib_ranking_reports_d_bound(tmp_path):
     assert res.exit_code == 0, res.output
     rec = json.loads((out / "results.jsonl").read_text().splitlines()[0])
     assert rec["constant_d_bound"] == 3.0
+
+
+def test_calib_chain_runs_with_its_defaults(tmp_path):
+    out = tmp_path / "calibc"
+    res = run(["calib", "--task", "chain", "--budget", "200", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rec = json.loads((out / "results.jsonl").read_text().splitlines()[0])
+    assert rec["constant_c"] == 2.0
+
+
+@pytest.mark.parametrize("gamma", ["nope", "-2"])
+def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
+    p = _synth_blobs(tmp_path, n=30)
+    res = run(["bench", "--data", str(p), "--task", "multiclass", "--lambda", "0.2",
+               "--passes", "1", "--splits", "1", "--kernel-gamma", gamma,
+               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "o").exists()

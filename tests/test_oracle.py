@@ -7,7 +7,7 @@ from maxminsp.oracle import (
     spmp_solve,
     spmp_solve_batch_simplex,
 )
-from maxminsp.projections import project, spmp_constants
+from maxminsp.projections import project
 from maxminsp.tasks import (
     ChainTask,
     LayoutError,
@@ -52,7 +52,7 @@ def test_multiclass_zero_scores_uniform_saddle():
 
 def test_binary_closed_form_random_scores():
     t = MulticlassTask(k=2)
-    L = spmp_constants(t).l_spmp
+    L = t.l_spmp
     rng = np.random.default_rng(0)
     for _ in range(30):
         v = rng.normal(size=2)
@@ -62,7 +62,7 @@ def test_binary_closed_form_random_scores():
 
 def test_ordinal_closed_form_random_scores():
     t = OrdinalTask(k=3)
-    L = spmp_constants(t).l_spmp
+    L = t.l_spmp
     rng = np.random.default_rng(1)
     for _ in range(30):
         v = rng.normal(size=3)
@@ -72,7 +72,7 @@ def test_ordinal_closed_form_random_scores():
 
 def test_multiclass_closed_form_random_scores():
     t = MulticlassTask(k=4)
-    L = spmp_constants(t).l_spmp
+    L = t.l_spmp
     rng = np.random.default_rng(2)
     for _ in range(30):
         v = rng.normal(size=4)
@@ -84,7 +84,7 @@ def test_gap_rate_bound_and_decay():
     rng = np.random.default_rng(3)
     for k in (3, 5):
         t = MulticlassTask(k=k)
-        L = spmp_constants(t).l_spmp
+        L = t.l_spmp
         for _ in range(20):
             v = rng.normal(size=k) * 2
             gaps = []
@@ -145,7 +145,7 @@ def test_chain_solver_valid_states_and_gap():
     res = spmp_solve(v, t, K=300)
     t.check_state(res.mu_bar)
     t.check_state(res.nu_bar)
-    L = spmp_constants(t).l_spmp
+    L = t.l_spmp
     assert -1e-9 <= res.gap <= 4.0 * L / 300 + 1e-6
 
 
@@ -161,8 +161,7 @@ def test_ranking_solver_valid_states():
 
 def _hand_rolled_solve(t, v, K, mu, nu):
     """The solver loop written out with one-vector projections."""
-    mm = spmp_constants(t)
-    rate = (1.0 / (2.0 * mm.l_spmp)) * mm.r2
+    rate = (1.0 / (2.0 * t.l_spmp)) * t.r2
     mu_sum = np.zeros_like(mu)
     nu_sum = np.zeros_like(nu)
     for _ in range(K):

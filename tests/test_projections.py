@@ -2,25 +2,26 @@ import numpy as np
 import pytest
 
 from maxminsp.projections import (
-    MirrorMap,
     SinkhornConvergenceError,
-    chain_entropy,
-    polytope_diameter_sq,
     project,
     project_birkhoff_sinkhorn,
     project_chain_entropic,
     project_simplex_entropic,
     project_stack,
-    simplex_entropy,
-    spmp_constants,
 )
 from maxminsp.tasks import ChainTask, LayoutError, MulticlassTask, OrdinalTask, RankingTask
 
 
-def bregman_objective(mu, mu_prev, grad, eta, entropy):
-    """-eta mu.grad + D(mu, mu_prev) for a Shannon-type entropy."""
+def shannon_entropy(p):
+    p = np.asarray(p, dtype=float)
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+def bregman_objective(mu, mu_prev, grad, eta):
+    """-eta mu.grad + D(mu, mu_prev) for the Shannon entropy."""
     mu = np.asarray(mu)
-    d = -entropy(mu) + entropy(mu_prev)
+    d = -shannon_entropy(mu) + shannon_entropy(mu_prev)
     # gradient of -H for Shannon entropy is log(mu) + 1
     d -= float((np.log(mu_prev) + 1.0) @ (mu - mu_prev))
     return -eta * float(mu @ grad) + d
@@ -83,14 +84,14 @@ def test_simplex_matches_numeric_bregman_minimizer():
         grad = rng.normal(size=k)
         eta = float(rng.uniform(0.1, 2.0))
         out = project_simplex_entropic(mu_prev, grad, eta)
-        f_out = bregman_objective(out, mu_prev, grad, eta, simplex_entropy)
+        f_out = bregman_objective(out, mu_prev, grad, eta)
         # projected gradient descent on the same objective
         x = np.full(k, 1.0 / k)
         for _ in range(4000):
             g = eta * grad - (np.log(x) - np.log(mu_prev))
             x = x * np.exp(0.2 * g)
             x /= x.sum()
-        f_ref = bregman_objective(x, mu_prev, grad, eta, simplex_entropy)
+        f_ref = bregman_objective(x, mu_prev, grad, eta)
         assert f_out <= f_ref + 1e-6
 
 
@@ -258,47 +259,29 @@ def test_sinkhorn_convergence_failure_carries_residual():
 
 
 def test_ranking_constant_is_m():
-    mm = spmp_constants(RankingTask(M=5))
-    assert mm.l_spmp == 5.0
+    assert RankingTask(M=5).l_spmp == 5.0
 
 
 def test_chain_m1_r2_constant():
-    mm = spmp_constants(ChainTask(M=1, R=2))
-    assert abs(mm.l_spmp - 2.0 * np.log(2.0)) < 1e-12
+    assert abs(ChainTask(M=1, R=2).l_spmp - 2.0 * np.log(2.0)) < 1e-12
 
 
 def test_multiclass_constant_positive_finite():
-    mm = spmp_constants(MulticlassTask(k=3))
-    assert 0 < mm.l_spmp < np.inf
-    assert abs(mm.l_spmp - 2.0 * np.log(3.0)) < 1e-12
+    task = MulticlassTask(k=3)
+    assert 0 < task.l_spmp < np.inf
+    assert abs(task.l_spmp - 2.0 * np.log(3.0)) < 1e-12
 
 
 def test_ordinal_constant_uses_spectral_norm():
     task = OrdinalTask(k=4)
-    mm = spmp_constants(task)
     a_norm = np.linalg.norm(task.loss_matrix(), 2)
-    assert abs(mm.l_spmp - a_norm * 2.0 * np.log(4.0)) < 1e-12
-
-
-def test_mirror_map_consistency_enforced():
-    with pytest.raises(ValueError):
-        MirrorMap(
-            kind="multiclass", entropy=simplex_entropy, sigma=1.0, r2=1.0,
-            betas=(0.0, 1.0, 1.0, 1.0), l_spmp=99.0,
-        )
-
-
-def test_entropy_zero_at_vertices():
-    task = ChainTask(M=3, R=2)
-    for y in task.labels():
-        assert abs(chain_entropy(task.embed(y), task)) < 1e-12
-    assert abs(simplex_entropy(np.array([1.0, 0.0, 0.0]))) < 1e-12
+    assert abs(task.l_spmp - a_norm * 2.0 * np.log(4.0)) < 1e-12
 
 
 def test_diameters():
-    assert polytope_diameter_sq(MulticlassTask(k=7)) == 2.0
-    assert polytope_diameter_sq(ChainTask(M=3, R=2)) == 10.0
-    assert polytope_diameter_sq(RankingTask(M=4)) == 8.0
+    assert MulticlassTask(k=7).diameter_sq == 2.0
+    assert ChainTask(M=3, R=2).diameter_sq == 10.0
+    assert RankingTask(M=4).diameter_sq == 8.0
 
 
 def test_project_dispatch_outputs_valid_states():

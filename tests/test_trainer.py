@@ -164,7 +164,7 @@ def test_m3n_trains_and_predicts():
     xs = rng.normal(size=(60, 2))
     ys = [1 + int(x[0] > 0) for x in xs]
     task = MulticlassTask(k=2)
-    cfg = TrainConfig(passes=6, lam=0.1, seed=0, method="m3n",
+    cfg = TrainConfig(passes=6, lam=0.1, seed=0,
                       kernel=KernelSpec("gaussian", gamma=1.0))
     model, _ = m3n_train((xs, ys), task, cfg)
     preds = predict(model, xs)
@@ -176,8 +176,6 @@ def test_invalid_config_rejected():
         TrainConfig(lam=0.0)
     with pytest.raises(ValueError):
         TrainConfig(spmp_iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(method="svm")
 
 
 def test_empty_training_set_rejected():
