@@ -63,8 +63,8 @@ def zeta_bruteforce(
 
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
-    oracle solve covers every search row, with the task's certification step
-    when it has one.
+    oracle solve, with the task's certification step when it has one, then
+    one max-oracle call per inner minimum covers every search row.
     """
     if task.n_labels() > 24:
         raise ValueError("output space too large for brute-force calibration")
@@ -84,19 +84,16 @@ def zeta_bruteforce(
         V = np.vstack([V, V2])
         Mus = np.vstack([Mus, Mus2])
         mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
-        A_mu_bars, A_mus = task.apply_loss_matrix(mu_bars), task.apply_loss_matrix(Mus)
-        omega_lower = A_mu_bars.min(axis=1) + np.einsum("ij,ij->i", V, mu_bars)
-        ds = omega_lower - np.einsum("ij,ij->i", V, Mus) - A_mus.min(axis=1)
     else:
         V = rng.normal(size=(search_budget, k)) * scale
         Mus = np.stack([_random_state(task, rng) for _ in range(search_budget)])
         mu_bars = _mirror_prox(V, task, spmp_iters, task.certify_eta)[0][: len(V)]
-        ds = np.empty(len(V))
-        for i in range(len(V)):
-            low, _ = task.bayes_risk(mu_bars[i])
-            omega_lower = low - task.offset + float(V[i] @ mu_bars[i])
-            best, _ = task.bayes_risk(Mus[i])
-            ds[i] = omega_lower - float(V[i] @ Mus[i]) - (best - task.offset)
+
+    def inner_min(Mu):
+        # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
+        return np.einsum("ij,ij->i", V, Mu) - task.max_oracle(-task.apply_loss_matrix(Mu))
+
+    ds = inner_min(mu_bars) - inner_min(Mus)
     dl = np.array([_excess_task_risk(task, V[i], Mus[i]) for i in range(len(V))])
 
     estimate = CalibrationEstimate(task=task, epsilons=eps_grid, zeta_lower={})

@@ -33,6 +33,7 @@ EXIT_PARSE = 2
 EXIT_TRAIN = 3
 
 DEFAULT_LAMBDA_GRID = [2.0 ** -j for j in range(1, 11)]
+POSITIVE = click.IntRange(min=1)
 
 
 def _fail(code: int, message: str):
@@ -188,8 +189,8 @@ def _common_train_options(fn):
     fn = click.option("--lambda", "lam", default=None, type=float)(fn)
     fn = click.option("--lambda-grid", default=None,
                       help="comma-separated values; default 2^-1..2^-10")(fn)
-    fn = click.option("--passes", default=10, show_default=True)(fn)
-    fn = click.option("--spmp-iters", default=20, show_default=True)(fn)
+    fn = click.option("--passes", default=10, show_default=True, type=POSITIVE)(fn)
+    fn = click.option("--spmp-iters", default=20, show_default=True, type=POSITIVE)(fn)
     fn = click.option("--warm-start", default="on", show_default=True,
                       type=click.Choice(["on", "off"]))(fn)
     fn = click.option("--kernel-gamma", default="median", show_default=True)(fn)
@@ -199,16 +200,14 @@ def _common_train_options(fn):
 
 
 def _parse_grid(lam, lambda_grid):
-    if lam is not None:
-        return [lam]
-    if lambda_grid is None:
+    if lam is None and lambda_grid is None:
         return list(DEFAULT_LAMBDA_GRID)
     try:
-        grid = [float(v) for v in lambda_grid.split(",")]
+        grid = [lam] if lam is not None else [float(v) for v in lambda_grid.split(",")]
     except ValueError:
         raise ValueError(f"bad --lambda-grid {lambda_grid!r}")
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("lambda grid values must be positive")
+    if not all(g > 0 for g in grid):  # also rejects nan
+        raise ValueError("lambda values must be positive")
     return grid
 
 
@@ -242,7 +241,7 @@ def train(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 
 @main.command()
 @_common_train_options
-@click.option("--splits", default=14, show_default=True)
+@click.option("--splits", default=14, show_default=True, type=POSITIVE)
 def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
           warm_start, kernel_gamma, seed, out, splits):
     """Full protocol: seeded splits, lambda selected on validation."""
@@ -276,7 +275,7 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 @click.option("--chain-m", default=1, show_default=True)
 @click.option("--chain-r", default=2, show_default=True)
 @click.option("--rank-m", default=3, show_default=True)
-@click.option("--budget", default=20000, show_default=True)
+@click.option("--budget", default=20000, show_default=True, type=POSITIVE)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True, type=click.Path())
 def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):

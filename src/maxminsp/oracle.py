@@ -1,8 +1,8 @@
 """Saddle-point mirror prox for the max-min oracle.
 
 Solves  max_{mu in M} min_{nu in M}  nu^T A mu + v^T mu  by extra-gradient
-mirror steps and certifies the duality gap with exact combinatorial
-max/min over the polytope vertices.  One engine, `_mirror_prox`, serves
+mirror steps and certifies the duality gap exactly with two calls to the
+task's max oracle (`certified_gap`, over one vector or a stack).  One engine, `_mirror_prox`, serves
 every task and batch size: it solves a (B, dim) stack of score vectors at
 once, and since both players live on the same polytope it keeps them as
 one (2B, dim) stack, so each half-step is one apply-A and one projection
@@ -23,7 +23,6 @@ from .tasks import LayoutError, SimplexTask, Task
 
 __all__ = [
     "OracleResult",
-    "WarmStartCache",
     "spmp_solve",
     "spmp_solve_batch_simplex",
     "certified_gap",
@@ -42,20 +41,18 @@ class OracleResult:
     nu_last: np.ndarray | None = None
 
 
-def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> float:
-    """Exact gap  max_y F(nu, phi(y)) - min_y F(phi(y), mu)  via decoding.
+def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> np.ndarray:
+    """Exact gaps  max_y F(nu, phi(y)) - min_y F(phi(y), mu), one per row.
 
-    F(nu, mu) = nu^T A mu + v^T mu; the max reduces to decoding A nu + v,
-    the min to the Bayes-risk decode of mu.  Loss offsets cancel.
+    F(nu, mu) = nu^T A mu + v^T mu; each side is one max-oracle call, at
+    A nu + v and at -A mu.  Loss offsets cancel.  mu, nu and v are one
+    vector each or (B, k) stacks; returns B gaps.
     """
-    task.check_state(mu)
-    task.check_state(nu)
-    v = np.asarray(v, dtype=float)
-    up_scores = task.apply_loss_matrix(nu) + v
-    y_up = task.decode(up_scores)
-    upper = float(task.embed(y_up) @ up_scores)
-    low_value, _ = task.bayes_risk(mu)
-    lower = low_value - task.offset + float(v @ mu)
+    mu, nu, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu, v))
+    for x in (*mu, *nu):
+        task.check_state(x)
+    upper = task.max_oracle(task.apply_loss_matrix(nu) + v)
+    lower = np.einsum("ij,ij->i", v, mu) - task.max_oracle(-task.apply_loss_matrix(mu))
     return upper - lower
 
 
@@ -148,7 +145,7 @@ def spmp_solve(
         task.check_state(init[0])
         task.check_state(init[1])
     (mu_bar, nu_bar), (mu, nu) = _mirror_prox(v, task, K, eta, init)
-    gap = certified_gap(mu_bar, nu_bar, v, task)
+    gap = float(certified_gap(mu_bar, nu_bar, v, task)[0])
     saddle = float(nu_bar @ task.apply_loss_matrix(mu_bar)) + float(v @ mu_bar) + task.offset
     return OracleResult(
         mu_bar=mu_bar,
@@ -159,24 +156,3 @@ def spmp_solve(
         nu_last=nu,
     )
 
-
-class WarmStartCache:
-    """Keyed store for the last saddle iterates of each training example."""
-
-    def __init__(self, task: Task):
-        self.task = task
-        self._slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def lookup(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (mu, nu) pair, or uniform initializers on a miss."""
-        pair = self._slots.get(index)
-        if pair is None:
-            return self.task.uniform_state(), self.task.uniform_state()
-        mu, nu = pair
-        return np.maximum(mu, PROB_FLOOR), np.maximum(nu, PROB_FLOOR)
-
-    def store(self, index: int, mu: np.ndarray, nu: np.ndarray) -> None:
-        self._slots[index] = (np.array(mu, dtype=float), np.array(nu, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self._slots)

@@ -8,7 +8,9 @@ the offset `a` is re-added whenever a human-readable loss or risk is
 reported.
 
 Each task also owns its marginal polytope: the stack projection under the
-polytope's entropy and the constants that set the saddle solver's step.
+polytope's entropy and the constants that set the saddle solver's step; and
+its max oracle max_y phi(y)^T s over a stack of scores, from which every
+certified gap and bound is built.
 """
 
 from __future__ import annotations
@@ -116,6 +118,10 @@ class Task:
         """argmax_y phi(y)^T v, ties broken by lowest lexicographic label."""
         raise NotImplementedError
 
+    def max_oracle(self, S: np.ndarray) -> np.ndarray:
+        """max_y phi(y)^T s for each row s of a (B, k) score stack."""
+        return np.array([self.embed(self.decode(s)) @ s for s in np.atleast_2d(S)])
+
     def bayes_risk(self, mu: np.ndarray) -> tuple[float, object]:
         """min_y phi(y)^T A mu (plus offset) and a lowest-label minimizer."""
         self.check_state(mu)
@@ -219,6 +225,13 @@ class SimplexTask(Task):
         if v.shape != (self.k,):
             raise LayoutError(f"expected shape ({self.k},), got {v.shape}")
         return _first_argmax(v) + 1
+
+    def max_oracle(self, S):
+        S = np.atleast_2d(np.asarray(S, dtype=float))
+        _check_finite(S)
+        if S.shape[1:] != (self.k,):
+            raise LayoutError(f"expected rows of dim {self.k}, got {S.shape}")
+        return S.max(axis=1)
 
     def uniform_state(self):
         return np.full(self.k, 1.0 / self.k)

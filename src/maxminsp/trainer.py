@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import WarmStartCache, _mirror_prox, spmp_solve
+from .oracle import _mirror_prox, certified_gap, spmp_solve
 from .tasks import Task
 
 __all__ = [
@@ -88,18 +88,6 @@ def predict(model: DualModel, xs: np.ndarray) -> list:
     return [model.task.decode(s) for s in scores]
 
 
-def _centered_bayes(task: Task, mu: np.ndarray) -> float:
-    value, _ = task.bayes_risk(mu)
-    return value - task.offset
-
-
-def _oracle_upper(task: Task, nu_bar: np.ndarray, v: np.ndarray) -> float:
-    """Certified upper bound on max_mu [bayes(mu) + v.mu] from the min player."""
-    scores = task.apply_loss_matrix(nu_bar) + v
-    y = task.decode(scores)
-    return float(task.embed(y) @ scores)
-
-
 def dual_gap(
     model: DualModel,
     K_gram: np.ndarray | None = None,
@@ -110,25 +98,18 @@ def dual_gap(
 
     Per example:  max_mu' H_i(mu', w) - H_i(mu_i, w)  with
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
-    bounded from above through the oracle's min player.  One oracle solve
-    covers all examples, with the task's certification step unless
-    oracle_eta is given.
+    bounded from above through the oracle's min player nu_i.  The phi(y_i)
+    terms cancel, so the bound is the certified saddle gap of the scores
+    g(x_i) at (mu_i, nu_i).  One oracle solve covers all examples, with the
+    task's certification step unless oracle_eta is given.
     """
     task = model.task
     if K_gram is None:
         K_gram = gram(model.xs, model.kernel)
     V = _scores_from_gram(K_gram, model.kernel_coeffs)
-    Phi = model.embedded_labels()
-    n = model.n
-    held = np.einsum("ij,ij->i", V, model.dual_mu - Phi)
-    held += np.array([_centered_bayes(task, model.dual_mu[i]) for i in range(n)])
     eta = task.certify_eta if oracle_eta is None else oracle_eta
     X_bar, _ = _mirror_prox(V, task, oracle_iters, eta)
-    nu_bars = X_bar[n:]
-    uppers = np.array(
-        [_oracle_upper(task, nu_bars[i], V[i]) - V[i] @ Phi[i] for i in range(n)]
-    )
-    return float(np.mean(uppers - held))
+    return float(np.mean(certified_gap(model.dual_mu, X_bar[model.n:], V, task)))
 
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
@@ -155,7 +136,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     report = TrainReport()
 
     rng = np.random.default_rng(cfg.seed)
-    cache = WarmStartCache(task) if cfg.warm_start else None
+    # last saddle iterates (mu, nu) of each example, uniform until visited
+    warm = np.tile(task.uniform_state(), (n, 2, 1)) if cfg.warm_start else None
 
     t = 0
     t0 = time.perf_counter()
@@ -165,12 +147,12 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             i = int(rng.integers(n))
             v_i = _scores_from_gram(K_gram[i], coeffs)
             if method == "m4n":
-                init = cache.lookup(i) if cache is not None else None
+                init = warm[i] if warm is not None else None
                 res = spmp_solve(v_i, task, init=init, K=cfg.spmp_iters)
                 direction = res.mu_bar
                 pass_gaps.append(res.gap)
-                if cache is not None:
-                    cache.store(i, res.mu_last, res.nu_last)
+                if warm is not None:
+                    warm[i] = res.mu_last, res.nu_last
             else:
                 y_aug = task.decode(task.apply_loss_matrix(Phi[i]) + v_i)
                 direction = task.embed(y_aug)
@@ -179,9 +161,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
             t += 1
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
-        dual_obj = float(
-            np.mean([_centered_bayes(task, mu[i]) for i in range(n)])
-        ) - 0.5 * cfg.lam * w_sq
+        bayes = -task.max_oracle(-task.apply_loss_matrix(mu))
+        dual_obj = float(np.mean(bayes)) - 0.5 * cfg.lam * w_sq
         gap = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters)
         report.records.append(
             {

@@ -165,3 +165,25 @@ def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
                "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--lambda", "0"],
+    ["train", "--lambda", "-1"],
+    ["train", "--lambda", "nan"],
+    ["train", "--lambda", "0.1", "--spmp-iters", "0"],
+    ["train", "--lambda", "0.1", "--passes", "0"],
+    ["train", "--lambda", "0.1", "--passes", "-1"],
+    ["bench", "--lambda", "0.1", "--splits", "0"],
+])
+def test_bad_numeric_training_options_exit_2(tmp_path, args):
+    p = _synth_blobs(tmp_path, n=30)
+    res = run([*args, "--data", str(p), "--task", "multiclass", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_calib_zero_budget_exits_2(tmp_path):
+    res = run(["calib", "--task", "multiclass", "--budget", "0", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "o").exists()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maxminsp.oracle import (
-    WarmStartCache,
     certified_gap,
     spmp_solve,
     spmp_solve_batch_simplex,
@@ -101,17 +100,33 @@ def test_certified_gap_zero_at_binary_saddle():
     assert abs(certified_gap(u, u, np.zeros(2), t)) < 1e-10
 
 
-def test_certified_gap_matches_vertex_enumeration():
-    t = MulticlassTask(k=4)
+@pytest.mark.parametrize(
+    "t", [MulticlassTask(4), OrdinalTask(4), ChainTask(3, 2), RankingTask(3)],
+    ids=lambda t: t.kind,
+)
+def test_certified_gap_matches_vertex_enumeration(t):
+    # (B, k) stacks of label mixtures; the reference enumerates the vertices
     rng = np.random.default_rng(4)
-    for _ in range(100):
-        mu = rng.dirichlet(np.ones(4))
-        nu = rng.dirichlet(np.ones(4))
-        v = rng.normal(size=4)
-        upper = max(float(t.embed(y) @ (t.apply_loss_matrix(nu) + v)) for y in t.labels())
-        lower = min(float(t.embed(y) @ t.apply_loss_matrix(mu)) for y in t.labels())
-        lower += float(v @ mu)
-        assert abs(certified_gap(mu, nu, v, t) - (upper - lower)) < 1e-10
+    E = np.stack([t.embed(y) for y in t.labels()])
+    B = 100
+    mu, nu = (rng.dirichlet(np.ones(len(E)), size=B) @ E for _ in range(2))
+    V = rng.normal(size=(B, t.embed_dim))
+    upper = ((t.apply_loss_matrix(nu) + V) @ E.T).max(axis=1)
+    lower = (t.apply_loss_matrix(mu) @ E.T).min(axis=1) + np.einsum("ij,ij->i", V, mu)
+    gaps = certified_gap(mu, nu, V, t)
+    assert gaps.shape == (B,)
+    assert np.max(np.abs(gaps - (upper - lower))) < 1e-10
+    # one vector in, one gap out
+    assert certified_gap(mu[0], nu[0], V[0], t) == pytest.approx(gaps[0], abs=1e-15)
+
+
+def test_certified_gap_checks_every_row():
+    t = MulticlassTask(k=3)
+    mu = np.tile(t.uniform_state(), (3, 1))
+    nu = mu.copy()
+    nu[2] = [0.5, 0.5, 0.5]
+    with pytest.raises(LayoutError):
+        certified_gap(mu, nu, np.zeros((3, 3)), t)
 
 
 def test_saddle_value_sandwich():
@@ -230,18 +245,6 @@ def test_batch_rejects_structured_tasks():
 def test_rejects_zero_budget():
     with pytest.raises(ValueError):
         spmp_solve(np.zeros(2), MulticlassTask(k=2), K=0)
-
-
-def test_warm_cache_roundtrip():
-    t = MulticlassTask(k=3)
-    cache = WarmStartCache(t)
-    mu0, nu0 = cache.lookup(4)
-    assert np.allclose(mu0, 1.0 / 3.0) and np.allclose(nu0, 1.0 / 3.0)
-    pair = (np.array([0.5, 0.3, 0.2]), np.array([0.1, 0.1, 0.8]))
-    cache.store(4, *pair)
-    mu1, nu1 = cache.lookup(4)
-    assert (mu1 == pair[0]).all() and (nu1 == pair[1]).all()
-    assert len(cache) == 1
 
 
 def test_warm_start_speeds_repeat_solves():

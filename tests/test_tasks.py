@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maxminsp.tasks import (
     ChainTask,
@@ -242,3 +245,33 @@ def test_loss_decomposition_matches_direct_loss():
             y, z = t.random_label(rng), t.random_label(rng)
             direct = float(t.embed(y) @ t.apply_loss_matrix(t.embed(z))) + t.offset
             assert abs(t.loss(y, z) - direct) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# max oracle (property test: fixed cases, derandomized, no deadline)
+
+
+@pytest.mark.parametrize(
+    "t", [MulticlassTask(4), OrdinalTask(4), ChainTask(3, 2), RankingTask(3)],
+    ids=lambda t: t.kind,
+)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_max_oracle_matches_enumeration(t, data):
+    rows = data.draw(st.integers(1, 5))
+    S = data.draw(arrays(np.float64, (rows, t.embed_dim),
+                         elements=st.floats(-100, 100, allow_subnormal=False)))
+    E = np.stack([t.embed(y) for y in t.labels()])
+    best = (S @ E.T).max(axis=1)
+    got = t.max_oracle(S)
+    assert got.shape == (rows,)
+    # decoders break near-ties within a relative 1e-9 of the optimum
+    assert np.all(np.abs(got - best) <= 1e-9 * (1.0 + np.abs(best)))
+
+
+def test_simplex_max_oracle_rejects_bad_stacks():
+    t = OrdinalTask(3)
+    with pytest.raises(LayoutError):
+        t.max_oracle(np.array([[0.0, np.nan, 1.0]]))
+    with pytest.raises(LayoutError):
+        t.max_oracle(np.zeros((2, 4)))

@@ -10,8 +10,6 @@ from maxminsp.tasks import ChainTask, MulticlassTask
 from maxminsp.trainer import (
     DualModel,
     TrainConfig,
-    _centered_bayes,
-    _oracle_upper,
     _scores_from_gram,
     dual_gap,
     gbcfw_train,
@@ -208,11 +206,13 @@ def test_chain_dual_gap_matches_per_example_solves():
     K_gram = gram(model.xs, kernel)
     V = _scores_from_gram(K_gram, model.kernel_coeffs)
     Phi = model.embedded_labels()
+    E = np.stack([task.embed(y) for y in task.labels()])
     per_example = []
     for i in range(model.n):
         res = spmp_solve(V[i], task, K=60)
-        upper = _oracle_upper(task, res.nu_bar, V[i]) - V[i] @ Phi[i]
-        held = V[i] @ (model.dual_mu[i] - Phi[i]) + _centered_bayes(task, model.dual_mu[i])
+        upper = np.max(E @ (task.apply_loss_matrix(res.nu_bar) + V[i])) - V[i] @ Phi[i]
+        bayes = np.min(E @ task.apply_loss_matrix(model.dual_mu[i]))
+        held = V[i] @ (model.dual_mu[i] - Phi[i]) + bayes
         per_example.append(upper - held)
     gap = dual_gap(model, K_gram=K_gram, oracle_iters=60)
     assert abs(gap - float(np.mean(per_example))) < 1e-12
