@@ -3,9 +3,10 @@
 Relates the excess surrogate risk delta_s(v, mu) of a score vector v at a
 conditional moment mu to the excess task risk delta_l of its decoded label.
 The calibration curve zeta(eps) = inf { delta_s : delta_l >= eps } is
-estimated by randomized search; the linear constant C (optimal labels carry
-probability at least 1/C) is computed analytically where possible and by
-randomized search otherwise.
+estimated by randomized search over score vectors and label mixtures, with
+one path for every task of at most six labels; the linear constant C
+(optimal labels carry probability at least 1/C) is computed analytically
+where possible and by randomized search otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import _mirror_prox, spmp_solve_batch_simplex
-from .tasks import ChainTask, MulticlassTask, RankingTask, SimplexTask, Task
+from .oracle import spmp_solve_batch_simplex
+from .tasks import ChainTask, MulticlassTask, RankingTask, Task
 
 __all__ = [
     "CalibrationEstimate",
@@ -25,23 +26,27 @@ __all__ = [
     "ranking_d_bound",
 ]
 
+# standard deviation of the search scores; refinement rows use a quarter
+_SCALE = 2.0
+
 
 @dataclass
 class CalibrationEstimate:
     task: Task
     epsilons: list[float]
     zeta_lower: dict[float, float]
-    constant_c: float | None = None
-    constant_d_bound: float | None = None
     witnesses: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> float:
-    """delta_l = risk of the decoded label under mu minus the Bayes risk."""
-    y_hat = task.decode(scores)
-    a_mu = task.apply_loss_matrix(mu)
-    best, _ = task.bayes_risk(mu)
-    return float(task.embed(y_hat) @ a_mu) + task.offset - best
+def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """delta_l = risk of the decoded label under mu minus the Bayes risk.
+
+    scores and mu are one vector each or (B, k) stacks; returns B values.
+    """
+    S, Mu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (scores, mu))
+    a_mu = task.apply_loss_matrix(Mu)
+    decoded = np.stack([task.embed(task.decode(s)) for s in S])
+    return np.einsum("ij,ij->i", decoded, a_mu) + task.max_oracle(-a_mu)
 
 
 def zeta_bruteforce(
@@ -50,7 +55,6 @@ def zeta_bruteforce(
     search_budget: int = 20000,
     seed: int = 0,
     spmp_iters: int = 3000,
-    scale: float = 2.0,
 ) -> CalibrationEstimate:
     """Randomized upper estimate of zeta(eps) with honest surrogate values.
 
@@ -61,40 +65,33 @@ def zeta_bruteforce(
     certified lower bound, so reported zeta values never exceed the truth
     because of oracle error.
 
+    Moments are Dirichlet mixtures of the task's embedded labels, so every
+    task takes the same path; tasks with more than six labels are rejected.
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
     oracle solve, with the task's certification step when it has one, then
     one max-oracle call per inner minimum covers every search row.
     """
-    if task.n_labels() > 24:
+    if task.n_labels() > 6:
         raise ValueError("output space too large for brute-force calibration")
     eps_grid = sorted(float(e) for e in eps_grid)
     rng = np.random.default_rng(seed)
-    k = task.embed_dim
-    if k > 6:
-        raise ValueError("embedding dimension too large for the score search")
-
-    if isinstance(task, SimplexTask):
-        V = rng.normal(size=(search_budget, k)) * scale
-        Mus = rng.dirichlet(np.ones(k), size=search_budget)
-        # local refinement: resample near the simplex corners where the
-        # decoded label flips, the regime that pins the infimum
-        V2 = rng.normal(size=(search_budget // 2, k)) * (scale / 4)
-        Mus2 = rng.dirichlet(0.5 * np.ones(k), size=search_budget // 2)
-        V = np.vstack([V, V2])
-        Mus = np.vstack([Mus, Mus2])
-        mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
-    else:
-        V = rng.normal(size=(search_budget, k)) * scale
-        Mus = np.stack([_random_state(task, rng) for _ in range(search_budget)])
-        mu_bars = _mirror_prox(V, task, spmp_iters, task.certify_eta)[0][: len(V)]
+    E = np.stack([task.embed(y) for y in task.labels()])
+    n, k = E.shape
+    B = search_budget
+    V, Mus = rng.normal(size=(B, k)) * _SCALE, rng.dirichlet(np.ones(n), size=B) @ E
+    # local refinement: resample near the polytope's vertices, where the
+    # decoded label flips, the regime that pins the infimum
+    V = np.vstack([V, rng.normal(size=(B // 2, k)) * (_SCALE / 4)])
+    Mus = np.vstack([Mus, rng.dirichlet(0.5 * np.ones(n), size=B // 2) @ E])
+    mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
 
     def inner_min(Mu):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
         return np.einsum("ij,ij->i", V, Mu) - task.max_oracle(-task.apply_loss_matrix(Mu))
 
     ds = inner_min(mu_bars) - inner_min(Mus)
-    dl = np.array([_excess_task_risk(task, V[i], Mus[i]) for i in range(len(V))])
+    dl = _excess_task_risk(task, V, Mus)
 
     estimate = CalibrationEstimate(task=task, epsilons=eps_grid, zeta_lower={})
     for eps in eps_grid:
@@ -114,13 +111,6 @@ def zeta_bruteforce(
     return estimate
 
 
-def _random_state(task: Task, rng: np.random.Generator) -> np.ndarray:
-    """Random interior point of the marginal polytope (label mixture)."""
-    labels = list(task.labels())
-    w = rng.dirichlet(np.ones(len(labels)))
-    return np.sum([wi * task.embed(y) for wi, y in zip(w, labels)], axis=0)
-
-
 def constant_c(task: Task, samples: int = 50000, seed: int = 0) -> float:
     """Smallest C such that some loss-minimizing label has probability 1/C.
 
@@ -134,9 +124,9 @@ def constant_c(task: Task, samples: int = 50000, seed: int = 0) -> float:
         return float(task.R)
     if isinstance(task, RankingTask):
         return float(math.factorial(task.M))
-    labels = list(task.labels())
-    n = len(labels)
-    loss = np.array([[task.loss(y, z) for z in labels] for y in labels])
+    E = np.stack([task.embed(y) for y in task.labels()])
+    n = len(E)
+    loss = E @ task.apply_loss_matrix(E).T + task.offset
     rng = np.random.default_rng(seed)
     worst = 1.0
     for alpha_conc in (1.0, 0.3, 3.0):

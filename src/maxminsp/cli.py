@@ -145,10 +145,6 @@ def _load(data_path: str, task_kind: str) -> Dataset:
         _fail(EXIT_PARSE, str(exc))
 
 
-def _make_task_for(ds: Dataset):
-    return make_task(ds.task_kind, **ds.task_params)
-
-
 @click.group()
 def main():
     """Structured prediction benchmark driver."""
@@ -214,8 +210,8 @@ def _parse_grid(lam, lambda_grid):
 def _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma):
     """Dataset, task, lambda grid and fixed gamma; exits 2 on bad input."""
     ds = _load(data, task_kind)
-    task = _make_task_for(ds)
     try:
+        task = make_task(ds.task_kind, **ds.task_params)
         return ds, task, _parse_grid(lam, lambda_grid), _parse_gamma(kernel_gamma)
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))

@@ -9,7 +9,7 @@ one (2B, dim) stack, so each half-step is one apply-A and one projection
 call.  The polytope enters only through the task: its `project_stack`,
 `apply_loss_matrix`, `l_spmp` and `r2`.  `spmp_solve` is a one-vector call
 into the engine, `trainer.dual_gap` certifies all examples with one call,
-and `spmp_solve_batch_simplex` is the guarded entry for simplex stacks.
+and `spmp_solve_batch_simplex` solves a stack on any polytope.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projections import PROB_FLOOR, SinkhornConvergenceError
-from .tasks import LayoutError, SimplexTask, Task
+from .tasks import LayoutError, Task
 
 __all__ = [
     "OracleResult",
@@ -112,17 +112,15 @@ def spmp_solve_batch_simplex(
     task: Task,
     K: int,
     eta: float | None = None,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run K mirror-prox rounds on a stack of score vectors at once.
 
     Returns (mu_bar, nu_bar, mu_last, nu_last): the averaged half-step
     iterates followed by the final full-step iterates, each shaped like V.
-    Only simplex-polytope tasks are supported.
+    Serves every polytope; the name predates that and stays because the
+    benchmark traces and patches this function.
     """
-    if not isinstance(task, SimplexTask):
-        raise ValueError("batched solves only support simplex polytopes")
-    X_bar, X = _mirror_prox(V, task, K, eta, init)
+    X_bar, X = _mirror_prox(V, task, K, eta)
     B = len(X) // 2
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
 

@@ -164,6 +164,10 @@ class SimplexTask(Task):
     k: int
     diameter_sq = 2.0
 
+    def __post_init__(self):
+        if self.k < 2:  # one label leaves no entropy range to step in
+            raise ValueError(f"a simplex task needs at least 2 labels, got k={self.k}")
+
     @property
     def embed_dim(self) -> int:
         return self.k
@@ -289,6 +293,10 @@ class ChainTask(Task):
     M: int
     R: int
     kind: str = "chain"
+
+    def __post_init__(self):
+        if self.R < 2:
+            raise ValueError(f"chain task needs an alphabet of at least 2, got R={self.R}")
 
     @property
     def embed_dim(self) -> int:

@@ -92,7 +92,6 @@ def dual_gap(
     model: DualModel,
     K_gram: np.ndarray | None = None,
     oracle_iters: int = 500,
-    oracle_eta: float | None = None,
 ) -> float:
     """Upper bound on the dual suboptimality, averaged over examples.
 
@@ -101,14 +100,13 @@ def dual_gap(
     bounded from above through the oracle's min player nu_i.  The phi(y_i)
     terms cancel, so the bound is the certified saddle gap of the scores
     g(x_i) at (mu_i, nu_i).  One oracle solve covers all examples, with the
-    task's certification step unless oracle_eta is given.
+    task's certification step.
     """
     task = model.task
     if K_gram is None:
         K_gram = gram(model.xs, model.kernel)
     V = _scores_from_gram(K_gram, model.kernel_coeffs)
-    eta = task.certify_eta if oracle_eta is None else oracle_eta
-    X_bar, _ = _mirror_prox(V, task, oracle_iters, eta)
+    X_bar, _ = _mirror_prox(V, task, oracle_iters, task.certify_eta)
     return float(np.mean(certified_gap(model.dual_mu, X_bar[model.n:], V, task)))
 
 

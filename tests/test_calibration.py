@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxminsp import calibration
 from maxminsp.calibration import (
@@ -90,6 +92,8 @@ def test_zeta_rejects_huge_output_spaces():
         zeta_bruteforce(RankingTask(M=5), [0.1], search_budget=10)
     with pytest.raises(ValueError):
         zeta_bruteforce(MulticlassTask(k=9), [0.1], search_budget=10)
+    with pytest.raises(ValueError):
+        zeta_bruteforce(ChainTask(M=2, R=3), [0.1], search_budget=10)
 
 
 def test_excess_task_risk_zero_at_optimal_decode():
@@ -103,20 +107,42 @@ def test_excess_task_risk_zero_at_optimal_decode():
     assert abs(_excess_task_risk(task, v_bad, mu) - 0.5) < 1e-12
 
 
-def test_zeta_batched_solve_matches_per_row_solves(monkeypatch):
+@pytest.mark.parametrize(
+    "task", [MulticlassTask(3), OrdinalTask(4), ChainTask(2, 2), RankingTask(3)],
+    ids=lambda t: t.kind,
+)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), conc=st.sampled_from([0.2, 1.0, 5.0]))
+def test_excess_task_risk_matches_label_enumeration(task, rows, seed, conc):
+    # stacked excess risk against the risk of every label in the table;
+    # continuous draws keep the decoded label free of near-ties
+    rng = np.random.default_rng(seed)
+    E = np.stack([task.embed(y) for y in task.labels()])
+    V = rng.normal(size=(rows, task.embed_dim)) * 2.0
+    Mu = rng.dirichlet(conc * np.ones(len(E)), size=rows) @ E
+    risks = task.apply_loss_matrix(Mu) @ E.T + task.offset
+    decoded = np.argmax(V @ E.T, axis=1)
+    want = risks[np.arange(rows), decoded] - risks.min(axis=1)
+    got = _excess_task_risk(task, V, Mu)
+    assert got.shape == (rows,)
+    assert np.all(np.abs(got - want) <= 1e-12)
+
+
+@pytest.mark.parametrize("task, budget", [(ChainTask(M=1, R=3), 60), (ChainTask(M=2, R=2), 20)],
+                         ids=["M1R3", "M2R2"])
+def test_zeta_batched_solve_matches_per_row_solves(monkeypatch, task, budget):
     # zeta_bruteforce solves all chain search rows in one engine call; the
     # estimate must equal the one built from one spmp_solve per row
-    task = ChainTask(M=1, R=3)
     eps = [0.1, 0.3, 0.5]
-    kwargs = dict(search_budget=60, seed=4, spmp_iters=300)
+    kwargs = dict(search_budget=budget, seed=4, spmp_iters=300)
     batched = zeta_bruteforce(task, eps, **kwargs)
 
     def per_row(V, task, K, eta):
         rows = [spmp_solve(v, task, K=K, eta=eta) for v in V]
-        mu, nu = (np.stack([getattr(r, name) for r in rows]) for name in ("mu_bar", "nu_bar"))
-        return np.vstack([mu, nu]), None
+        return tuple(np.stack([getattr(r, name) for r in rows])
+                     for name in ("mu_bar", "nu_bar", "mu_last", "nu_last"))
 
-    monkeypatch.setattr(calibration, "_mirror_prox", per_row)
+    monkeypatch.setattr(calibration, "spmp_solve_batch_simplex", per_row)
     looped = zeta_bruteforce(task, eps, **kwargs)
     assert batched.zeta_lower == looped.zeta_lower
     assert batched.witnesses.keys() == looped.witnesses.keys()

@@ -187,3 +187,30 @@ def test_calib_zero_budget_exits_2(tmp_path):
     res = run(["calib", "--task", "multiclass", "--budget", "0", "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_calib_chain_beyond_length_one(tmp_path):
+    out = tmp_path / "calibc2"
+    res = run(["calib", "--task", "chain", "--chain-m", "2", "--budget", "20",
+               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rec = json.loads((out / "results.jsonl").read_text().splitlines()[0])
+    zetas = list(rec["zeta_lower"].values())
+    assert len(zetas) == 3 and all(np.isfinite(zetas))
+
+
+@pytest.mark.parametrize("args", [
+    ["calib", "--task", "multiclass", "--k", "1", "--budget", "10"],
+    ["calib", "--task", "ordinal", "--k", "1", "--budget", "10"],
+    ["calib", "--task", "chain", "--chain-r", "1", "--budget", "10"],
+    ["train", "--task", "multiclass", "--lambda", "0.1"],
+])
+def test_one_label_tasks_exit_2(tmp_path, args):
+    # one label leaves the solver no entropy range to step in
+    p = tmp_path / "ones.csv"
+    p.write_text("feature_0,label\n" + "".join(f"{i}.0,1\n" for i in range(10)))
+    if args[0] == "train":
+        args = [*args, "--data", str(p)]
+    res = run([*args, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert not (tmp_path / "o").exists()

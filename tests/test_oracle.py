@@ -237,11 +237,6 @@ def test_batch_matches_single_solves():
         assert np.max(np.abs(res.nu_bar - nu_bars[i])) < 1e-12
 
 
-def test_batch_rejects_structured_tasks():
-    with pytest.raises(ValueError):
-        spmp_solve_batch_simplex(np.zeros((2, 9)), RankingTask(M=3), K=5)
-
-
 def test_rejects_zero_budget():
     with pytest.raises(ValueError):
         spmp_solve(np.zeros(2), MulticlassTask(k=2), K=0)
