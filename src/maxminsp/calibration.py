@@ -45,7 +45,7 @@ def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> np.ndar
     """
     S, Mu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (scores, mu))
     a_mu = task.apply_loss_matrix(Mu)
-    decoded = np.stack([task.embed(task.decode(s)) for s in S])
+    decoded = np.stack([task.embed(y) for y in task.decode(S)])
     return np.einsum("ij,ij->i", decoded, a_mu) + task.max_oracle(-a_mu)
 
 

@@ -271,7 +271,8 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 @click.option("--chain-m", default=1, show_default=True)
 @click.option("--chain-r", default=2, show_default=True)
 @click.option("--rank-m", default=3, show_default=True)
-@click.option("--budget", default=20000, show_default=True, type=POSITIVE)
+@click.option("--budget", default=20000, show_default=True, type=POSITIVE,
+              help="search size: 1.5 x budget score rows, each solved for 3000 oracle rounds")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="out", show_default=True, type=click.Path())
 def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):

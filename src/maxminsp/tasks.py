@@ -8,9 +8,14 @@ the offset `a` is re-added whenever a human-readable loss or risk is
 reported.
 
 Each task also owns its marginal polytope: the stack projection under the
-polytope's entropy and the constants that set the saddle solver's step; and
-its max oracle max_y phi(y)^T s over a stack of scores, from which every
-certified gap and bound is built.
+polytope's entropy and the constants that set the saddle solver's step.
+
+Decoding and the max oracle run on stacks of scores.  `decode` takes one
+score vector and returns one label, or a (B, k) stack and returns a list of
+B labels, the lowest label winning ties.  `max_oracle` returns
+max_y phi(y)^T s for each row of a stack, computed by each task without
+decoding; every certified gap and bound is built on it.  Both check the
+stack once and then call the task's unchecked kernels.
 """
 
 from __future__ import annotations
@@ -52,11 +57,6 @@ class InvalidLabelError(ValueError):
     """Raised when a label is not a member of the task's output space."""
 
 
-def _check_finite(v: np.ndarray, what: str = "scores") -> None:
-    if not np.all(np.isfinite(v)):
-        raise LayoutError(f"non-finite {what}")
-
-
 class Task:
     """Base class; concrete tasks fill in the embedding, decoders and polytope.
 
@@ -94,10 +94,6 @@ class Task:
         """Vertex phi(y) of the marginal polytope."""
         raise NotImplementedError
 
-    def decode_embedding(self, e: np.ndarray):
-        """Inverse of embed on vertices."""
-        raise NotImplementedError
-
     # -- loss ------------------------------------------------------------
     def apply_loss_matrix(self, mu: np.ndarray) -> np.ndarray:
         """A @ mu for the centered loss matrix (A is symmetric here).
@@ -114,13 +110,34 @@ class Task:
         return val + self.offset
 
     # -- decoding --------------------------------------------------------
+    def _score_stack(self, S) -> np.ndarray:
+        """S as a (B, embed_dim) stack of finite scores, else LayoutError."""
+        S = np.atleast_2d(np.asarray(S, dtype=float))
+        if S.ndim != 2 or S.shape[1] != self.embed_dim:
+            raise LayoutError(f"expected score rows of dim {self.embed_dim}, got shape {S.shape}")
+        if not np.all(np.isfinite(S)):
+            raise LayoutError("non-finite scores")
+        return S
+
     def decode(self, v: np.ndarray):
-        """argmax_y phi(y)^T v, ties broken by lowest lexicographic label."""
-        raise NotImplementedError
+        """argmax_y phi(y)^T v, ties broken by lowest lexicographic label.
+
+        One vector gives one label; a (B, k) stack gives a list of B labels.
+        """
+        labels = self._decode_stack(self._score_stack(v))
+        return labels if np.ndim(v) == 2 else labels[0]
 
     def max_oracle(self, S: np.ndarray) -> np.ndarray:
         """max_y phi(y)^T s for each row s of a (B, k) score stack."""
-        return np.array([self.embed(self.decode(s)) @ s for s in np.atleast_2d(S)])
+        return self._max_stack(self._score_stack(S))
+
+    def _decode_stack(self, S: np.ndarray) -> list:
+        """Labels of the rows of a checked score stack."""
+        raise NotImplementedError
+
+    def _max_stack(self, S: np.ndarray) -> np.ndarray:
+        """Max-oracle values of the rows of a checked score stack."""
+        raise NotImplementedError
 
     def bayes_risk(self, mu: np.ndarray) -> tuple[float, object]:
         """min_y phi(y)^T A mu (plus offset) and a lowest-label minimizer."""
@@ -145,11 +162,6 @@ class Task:
         Rows of P must be at or above PROB_FLOOR and G must be finite.
         """
         raise NotImplementedError
-
-
-def _first_argmax(scores: np.ndarray) -> int:
-    # exact comparison: np.argmax returns the first maximizer
-    return int(np.argmax(scores))
 
 
 @dataclass(frozen=True)
@@ -214,27 +226,14 @@ class SimplexTask(Task):
         e[y - 1] = 1.0
         return e
 
-    def decode_embedding(self, e):
-        idx = np.flatnonzero(np.asarray(e) > 0.5)
-        if idx.size != 1:
-            raise InvalidLabelError("not a one-hot embedding")
-        return int(idx[0]) + 1
-
     def apply_loss_matrix(self, mu):
         return np.asarray(mu, dtype=float) @ self.loss_matrix()  # A symmetric
 
-    def decode(self, v):
-        v = np.asarray(v, dtype=float)
-        _check_finite(v)
-        if v.shape != (self.k,):
-            raise LayoutError(f"expected shape ({self.k},), got {v.shape}")
-        return _first_argmax(v) + 1
+    def _decode_stack(self, S):
+        # exact comparison: np.argmax returns the first maximizer
+        return (np.argmax(S, axis=1) + 1).tolist()
 
-    def max_oracle(self, S):
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        _check_finite(S)
-        if S.shape[1:] != (self.k,):
-            raise LayoutError(f"expected rows of dim {self.k}, got {S.shape}")
+    def _max_stack(self, S):
         return S.max(axis=1)
 
     def uniform_state(self):
@@ -295,6 +294,8 @@ class ChainTask(Task):
     kind: str = "chain"
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"chain task needs at least one position, got M={self.M}")
         if self.R < 2:
             raise ValueError(f"chain task needs an alphabet of at least 2, got R={self.R}")
 
@@ -332,7 +333,7 @@ class ChainTask(Task):
         """(M, R) unary view and (M-1, R, R) pairwise view of a layout vector."""
         vec = np.asarray(vec, dtype=float)
         u = vec[: self.unary_dim].reshape(self.M, self.R)
-        p = vec[self.unary_dim:].reshape(max(self.M - 1, 0), self.R, self.R)
+        p = vec[self.unary_dim:].reshape(self.M - 1, self.R, self.R)
         return u, p
 
     def join(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -358,22 +359,12 @@ class ChainTask(Task):
     def embed(self, y):
         self.check_label(y)
         u = np.zeros((self.M, self.R))
-        p = np.zeros((max(self.M - 1, 0), self.R, self.R))
+        p = np.zeros((self.M - 1, self.R, self.R))
         for m, c in enumerate(y):
             u[m, c - 1] = 1.0
         for m in range(self.M - 1):
             p[m, y[m] - 1, y[m + 1] - 1] = 1.0
         return self.join(u, p)
-
-    def decode_embedding(self, e):
-        u, _ = self.split(e)
-        y = []
-        for m in range(self.M):
-            idx = np.flatnonzero(u[m] > 0.5)
-            if idx.size != 1:
-                raise InvalidLabelError("not a vertex embedding")
-            y.append(int(idx[0]) + 1)
-        return tuple(y)
 
     def apply_loss_matrix(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -385,35 +376,45 @@ class ChainTask(Task):
         out[..., : self.unary_dim] = (u @ L).reshape(*rows, self.unary_dim)
         return out
 
-    def decode(self, v):
-        """Viterbi with exact lexicographic tie-breaking.
+    def _backward(self, S):
+        """Suffix values of a score stack, with its unary and pairwise views.
 
-        Suffix-value DP followed by a greedy forward pass that picks the
-        smallest symbol attaining the optimum at each position.
+        Returns u (B, M, R), p (B, M-1, R, R) and beta (B, M, R), where
+        beta[b, m, r] is the best score of the suffix after position m
+        given y_m = r+1.
         """
-        v = np.asarray(v, dtype=float)
-        _check_finite(v)
-        if v.shape != (self.embed_dim,):
-            raise LayoutError(f"expected dim {self.embed_dim}, got {v.shape}")
-        u, p = self.split(v)
-        M, R = self.M, self.R
-        # beta[m, r]: best score of the suffix after position m given y_m = r+1
-        beta = np.zeros((M, R))
+        B, M, R = len(S), self.M, self.R
+        u = S[:, : self.unary_dim].reshape(B, M, R)
+        p = S[:, self.unary_dim:].reshape(B, M - 1, R, R)
+        beta = np.zeros((B, M, R))
         for m in range(M - 2, -1, -1):
-            cont = p[m] + u[m + 1][None, :] + beta[m + 1][None, :]
-            beta[m] = cont.max(axis=1)
-        y = []
-        r = _first_argmax(u[0] + beta[0])
-        y.append(r + 1)
-        for m in range(M - 1):
-            cont = p[m, r] + u[m + 1] + beta[m + 1]
-            r = _first_argmax(cont)
-            y.append(r + 1)
-        return tuple(y)
+            cont = p[:, m] + u[:, m + 1, None, :] + beta[:, m + 1, None, :]
+            beta[:, m] = cont.max(axis=2)
+        return u, p, beta
+
+    def _decode_stack(self, S):
+        """Viterbi over the stack with exact lexicographic tie-breaking.
+
+        The suffix-value DP is followed by a greedy forward pass that picks
+        the smallest symbol attaining the optimum at each position
+        (np.argmax returns the first maximizer).
+        """
+        u, p, beta = self._backward(S)
+        rows = np.arange(len(S))
+        Y = np.empty((len(S), self.M), dtype=int)
+        Y[:, 0] = np.argmax(u[:, 0] + beta[:, 0], axis=1)
+        for m in range(self.M - 1):
+            cont = p[rows, m, Y[:, m]] + u[:, m + 1] + beta[:, m + 1]
+            Y[:, m + 1] = np.argmax(cont, axis=1)
+        return [tuple(y) for y in (Y + 1).tolist()]
+
+    def _max_stack(self, S):
+        u, _, beta = self._backward(S)
+        return (u[:, 0] + beta[:, 0]).max(axis=1)
 
     def uniform_state(self):
         u = np.full((self.M, self.R), 1.0 / self.R)
-        p = np.full((max(self.M - 1, 0), self.R, self.R), 1.0 / self.R ** 2)
+        p = np.full((self.M - 1, self.R, self.R), 1.0 / self.R ** 2)
         return self.join(u, p)
 
     def check_state(self, mu):
@@ -491,18 +492,6 @@ class RankingTask(Task):
             P[i, j - 1] = 1.0
         return P.ravel()
 
-    def decode_embedding(self, e):
-        P = np.asarray(e, dtype=float).reshape(self.M, self.M)
-        y = []
-        for i in range(self.M):
-            idx = np.flatnonzero(P[i] > 0.5)
-            if idx.size != 1:
-                raise InvalidLabelError("not a permutation matrix")
-            y.append(int(idx[0]) + 1)
-        perm = tuple(y)
-        self.check_label(perm)
-        return perm
-
     def apply_loss_matrix(self, mu):
         return -np.asarray(mu, dtype=float) / self.M
 
@@ -510,13 +499,14 @@ class RankingTask(Task):
         rows, cols = linear_sum_assignment(-V)
         return float(V[rows, cols].sum())
 
-    def decode(self, v):
+    def _max_stack(self, S):
+        return np.array([self._assignment_value(V) for V in S.reshape(-1, self.M, self.M)])
+
+    def _decode_stack(self, S):
+        return [self._decode_one(V) for V in S.reshape(-1, self.M, self.M)]
+
+    def _decode_one(self, V: np.ndarray) -> tuple:
         """Max-weight assignment, lexicographically smallest among optima."""
-        v = np.asarray(v, dtype=float)
-        _check_finite(v)
-        if v.shape != (self.embed_dim,):
-            raise LayoutError(f"expected dim {self.embed_dim}, got {v.shape}")
-        V = v.reshape(self.M, self.M)
         best = self._assignment_value(V)
         tol = _TIE_TOL * (1.0 + abs(best))
         # fix positions greedily: smallest item that still attains the optimum

@@ -84,8 +84,7 @@ def _scores_from_gram(K_rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def predict(model: DualModel, xs: np.ndarray) -> list:
     """Decode the score map at each input row."""
     G = cross_gram(np.atleast_2d(np.asarray(xs, dtype=float)), model.xs, model.kernel)
-    scores = _scores_from_gram(G, model.kernel_coeffs)
-    return [model.task.decode(s) for s in scores]
+    return model.task.decode(_scores_from_gram(G, model.kernel_coeffs))
 
 
 def dual_gap(

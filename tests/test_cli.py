@@ -204,6 +204,7 @@ def test_calib_chain_beyond_length_one(tmp_path):
     ["calib", "--task", "ordinal", "--k", "1", "--budget", "10"],
     ["calib", "--task", "chain", "--chain-r", "1", "--budget", "10"],
     ["train", "--task", "multiclass", "--lambda", "0.1"],
+    ["calib", "--task", "chain", "--chain-m", "0", "--budget", "10"],
 ])
 def test_one_label_tasks_exit_2(tmp_path, args):
     # one label leaves the solver no entropy range to step in

@@ -45,9 +45,10 @@ def test_multiclass_shortcuts_match_loss_matrix():
 
 
 def test_multiclass_embed_roundtrip():
-    t = MulticlassTask(k=5)
-    for y in t.labels():
-        assert t.decode_embedding(t.embed(y)) == y
+    # decoding a vertex's own embedding returns its label, on every task
+    for t in (MulticlassTask(k=5), OrdinalTask(k=4), ChainTask(M=3, R=2), RankingTask(M=4)):
+        for y in t.labels():
+            assert t.decode(t.embed(y)) == y
 
 
 def test_multiclass_decode_ties_prefer_low_label():
@@ -174,7 +175,7 @@ def test_ranking_embed_is_permutation_matrix():
     y = (2, 4, 1, 3)
     P = t.embed(y).reshape(4, 4)
     assert (P.sum(axis=0) == 1).all() and (P.sum(axis=1) == 1).all()
-    assert t.decode_embedding(t.embed(y)) == y
+    assert t.decode(t.embed(y)) == y
 
 
 def test_ranking_loss_is_normalized_hamming():
@@ -261,17 +262,29 @@ def test_max_oracle_matches_enumeration(t, data):
     rows = data.draw(st.integers(1, 5))
     S = data.draw(arrays(np.float64, (rows, t.embed_dim),
                          elements=st.floats(-100, 100, allow_subnormal=False)))
-    E = np.stack([t.embed(y) for y in t.labels()])
-    best = (S @ E.T).max(axis=1)
-    got = t.max_oracle(S)
-    assert got.shape == (rows,)
-    # decoders break near-ties within a relative 1e-9 of the optimum
-    assert np.all(np.abs(got - best) <= 1e-9 * (1.0 + np.abs(best)))
+    # small integers make exact ties, which decode must break like labels()
+    S_int = data.draw(arrays(np.int64, (rows, t.embed_dim),
+                             elements=st.integers(-2, 2))).astype(float)
+    labels = list(t.labels())
+    E = np.stack([t.embed(y) for y in labels])
+    for X in (S, S_int):
+        best = (X @ E.T).max(axis=1)
+        got = t.max_oracle(X)
+        assert got.shape == (rows,)
+        assert np.all(np.abs(got - best) <= 1e-12 * (1.0 + np.abs(best)))
+        decoded = t.decode(X)
+        assert len(decoded) == rows
+        assert all(decoded[b] == t.decode(X[b]) for b in range(rows))
+    assert t.decode(S_int) == [labels[i] for i in np.argmax(S_int @ E.T, axis=1)]
 
 
 def test_simplex_max_oracle_rejects_bad_stacks():
-    t = OrdinalTask(3)
-    with pytest.raises(LayoutError):
-        t.max_oracle(np.array([[0.0, np.nan, 1.0]]))
-    with pytest.raises(LayoutError):
-        t.max_oracle(np.zeros((2, 4)))
+    # every task checks its score stacks the same way, for both entry points
+    for t in (MulticlassTask(4), OrdinalTask(3), ChainTask(3, 2), RankingTask(3)):
+        nan_row = np.zeros((2, t.embed_dim))
+        nan_row[1, 0] = np.nan
+        for bad in (nan_row, nan_row[1], np.zeros((2, t.embed_dim + 1)), np.zeros(t.embed_dim - 1)):
+            with pytest.raises(LayoutError):
+                t.max_oracle(bad)
+            with pytest.raises(LayoutError):
+                t.decode(bad)
