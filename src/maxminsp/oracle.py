@@ -2,14 +2,18 @@
 
 Solves  max_{mu in M} min_{nu in M}  nu^T A mu + v^T mu  by extra-gradient
 mirror steps and certifies the duality gap exactly with two calls to the
-task's max oracle (`certified_gap`, over one vector or a stack).  One engine, `_mirror_prox`, serves
-every task and batch size: it solves a (B, dim) stack of score vectors at
-once, and since both players live on the same polytope it keeps them as
-one (2B, dim) stack, so each half-step is one apply-A and one projection
-call.  The polytope enters only through the task: its `project_stack`,
-`apply_loss_matrix`, `l_spmp` and `r2`.  `spmp_solve` is a one-vector call
-into the engine, `trainer.dual_gap` certifies all examples with one call,
-and `spmp_solve_batch_simplex` solves a stack on any polytope.
+task's max oracle (`certified_gap`, over one vector or a stack).  One
+engine, `_mirror_prox`, serves every task and batch size: it solves a
+(B, dim) stack of score vectors at once, and since both players live on
+the same polytope it keeps them as one C-contiguous (dim, 2B) column
+stack, so each half-step is one apply-A and one projection call, and the
+projection kernels reduce over leading axes.  The engine transposes the
+scores once on entry and its results once on return, so its callers see
+(B, dim) rows.  The polytope enters only through the task: its
+`project_stack`, `apply_loss_matrix`, `l_spmp` and `r2`.  `spmp_solve` is
+a one-vector call into the engine, `trainer.dual_gap` certifies all
+examples with one call, and `spmp_solve_batch_simplex` solves a stack on
+any polytope.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> 
     vector each or (B, k) stacks; returns B gaps.
     """
     mu, nu, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu, v))
-    for x in (*mu, *nu):
-        task.check_state(x)
+    task.check_state(mu)
+    task.check_state(nu)
     upper = task.max_oracle(task.apply_loss_matrix(nu) + v)
     lower = np.einsum("ij,ij->i", v, mu) - task.max_oracle(-task.apply_loss_matrix(mu))
     return upper - lower
@@ -65,14 +69,16 @@ def _mirror_prox(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
-    The iterate is one (2B, dim) stack X: rows :B are the max players mu,
-    rows B: the min players nu.  A round takes a half-step from X with
-    the gradient at X and a full step from X with the gradient at the
-    half-step point; the half-step points are averaged.  The default eta
+    The iterate is one C-contiguous (dim, 2B) column stack X: columns :B
+    are the max players mu, columns B: the min players nu.  A is applied
+    through the task's row API on the transposed view X.T.  A round takes
+    a half-step from X with the gradient at X and a full step from X with
+    the gradient at the half-step point; the half-step points are averaged.  The default eta
     is 1/(2 L) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
-    or B rows each, already inside the polytope.  Returns (X_bar, X_last).
+    or B rows each, already inside the polytope.  Returns (X_bar, X_last)
+    as C-contiguous (2B, dim) stacks: rows :B are mu, rows B: are nu.
     """
     if K < 1:
         raise ValueError("iteration budget must be >= 1")
@@ -84,14 +90,23 @@ def _mirror_prox(
     rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
     apply_a = task.apply_loss_matrix
     proj = task.project_stack
+    VT = np.ascontiguousarray(V.T)
     if init is None:
-        X = np.tile(task.uniform_state(), (2 * B, 1))
+        X = np.tile(task.uniform_state()[:, None], (1, 2 * B))
     else:
-        X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
+        X = np.concatenate(
+            [np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init]
+        ).T.copy()
+
+    # one gradient buffer: each projection reads it before the next grad call
+    G = np.empty_like(X)
+    G_max, G_min = G[:, :B], G[:, B:]
 
     def grad(X):
-        AX = apply_a(X)
-        return np.concatenate([AX[B:] + V, -AX[:B]])
+        AX = apply_a(X.T).T
+        np.add(AX[:, B:], VT, G_max)
+        np.negative(AX[:, :B], G_min)
+        return G
 
     X_sum = np.zeros_like(X)
     for it in range(K):
@@ -104,7 +119,8 @@ def _mirror_prox(
                 f"projection failed at iteration {it} ({player} player): {exc}"
             ) from exc
         X_sum += X_half
-    return X_sum / K, X
+    X_sum /= K
+    return X_sum.T.copy(), X.T.copy()
 
 
 def spmp_solve_batch_simplex(

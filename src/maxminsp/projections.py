@@ -6,12 +6,16 @@ sum-product on chain marginals, Sinkhorn row/column scaling on the
 doubly stochastic matrices.  `grad` is always an ascent direction for the
 caller's objective.
 
-Every projection works on a stack: row b of a (B, dim) array is projected
-with row b of the gradient stack, independently of the other rows.  The
-kernels take arrays and shape integers only; each task's `project_stack`
-picks its kernel, unchecked, for solvers that keep their iterates inside
-the polytope.  `project_stack` here checks its inputs first, and the
-one-vector functions wrap it.
+Every projection works on a stack.  The kernels take column stacks: a
+C-contiguous (dim, B) array whose column b is projected with column b of
+the gradient stack, independently of the other columns.  Every reduction
+then runs over a leading axis and every log and exp over a contiguous
+array.  The kernels take arrays and shape integers only; each task's
+`project_stack` picks its kernel, unchecked, for the solver engine, which
+keeps its iterates inside the polytope as column stacks.  The wrappers
+keep rows: `project_stack` here takes and returns a (B, dim) stack and
+checks its inputs first, and it and the one-vector functions transpose at
+their boundary.
 """
 
 from __future__ import annotations
@@ -53,13 +57,13 @@ class SinkhornConvergenceError(RuntimeError):
             f"Sinkhorn did not converge after {max_iter} iterations (residual {residual:.3e})"
         )
         self.residual = residual
-        self.row = row  # stack row with the largest residual
+        self.row = row  # stack column (one point) with the largest residual
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along axis, shifted by the maximum; x is finite."""
-    top = x.max(axis=axis, keepdims=True)
-    return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis)
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the leading axis, shifted by the maximum; x is finite."""
+    top = x.max(axis=0)
+    return np.log(np.exp(x - top).sum(axis=0)) + top
 
 
 # ---------------------------------------------------------------------------
@@ -67,52 +71,55 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _softmax_stack(P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-    """Exponentiated-gradient step per row: proportional to P * exp(eta*G)."""
+    """Exponentiated-gradient step per column: proportional to P * exp(eta*G)."""
     Z = np.log(P) + eta * G
-    Z -= Z.max(axis=-1, keepdims=True)
+    Z -= Z.max(axis=0)
     Q = np.exp(Z)
-    Q /= Q.sum(axis=-1, keepdims=True)
+    Q /= Q.sum(axis=0)
     return np.maximum(Q, PROB_FLOOR, out=Q)
 
 
 def _chain_stack(P: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> np.ndarray:
-    """Exact Bregman projection under the junction-tree chain entropy, per row.
+    """Exact Bregman projection under the junction-tree chain entropy, per column.
 
     H(mu) = sum_m H_S(mu_{m,m+1}) - sum_{interior m} H_S(mu_m); the
     projection equals marginal inference on a chain with log-potentials
     assembled from log(P) and eta*G, computed by sum-product in the log
-    domain for all rows at once.  Rows are laid out as M unary blocks of R
-    followed by M-1 pairwise blocks of R*R.
+    domain for all columns at once.  A column holds M unary blocks of R
+    followed by M-1 pairwise blocks of R*R, viewed here as (M, R, B) and
+    (M-1, R, R, B) arrays.
     """
     U = M * R
-    B = P.shape[0]
+    B = P.shape[1]
     if M == 1:
         return _softmax_stack(P, G, eta)
-    pu = P[:, :U].reshape(B, M, R)
-    pp = P[:, U:].reshape(B, M - 1, R, R)
+    pu = P[:U].reshape(M, R, B)
+    pp = P[U:].reshape(M - 1, R, R, B)
 
     # theta follows from the gradient of the junction-tree entropy at P:
     # pairwise blocks carry +log, interior unaries carry -log
-    theta_u = eta * G[:, :U].reshape(B, M, R)
-    theta_u[:, 1:-1] -= np.log(pu[:, 1:-1])
-    theta_p = eta * G[:, U:].reshape(B, M - 1, R, R) + np.log(pp)
+    theta_u = eta * G[:U].reshape(M, R, B)
+    theta_u[1:-1] -= np.log(pu[1:-1])
+    theta_p = eta * G[U:].reshape(M - 1, R, R, B) + np.log(pp)
 
-    # forward/backward messages (log domain)
-    alpha = np.empty((B, M, R))
-    alpha[:, 0] = theta_u[:, 0]
+    # forward/backward messages (log domain); the backward pass sums over
+    # y_{m+1}, the leading axis of the transposed pairwise view
+    alpha = np.empty((M, R, B))
+    alpha[0] = theta_u[0]
     for m in range(M - 1):
-        alpha[:, m + 1] = theta_u[:, m + 1] + _logsumexp(alpha[:, m, :, None] + theta_p[:, m], 1)
-    beta = np.zeros((B, M, R))
+        alpha[m + 1] = theta_u[m + 1] + _logsumexp(alpha[m, :, None] + theta_p[m])
+    theta_pt = theta_p.transpose(0, 2, 1, 3)
+    beta = np.zeros((M, R, B))
     for m in range(M - 2, -1, -1):
-        beta[:, m] = _logsumexp(theta_p[:, m] + (theta_u[:, m + 1] + beta[:, m + 1])[:, None, :], 2)
-    log_z = _logsumexp(alpha[:, -1], 1)[:, None, None]
+        beta[m] = _logsumexp(theta_pt[m] + (theta_u[m + 1] + beta[m + 1])[:, None])
+    log_z = _logsumexp(alpha[-1])
 
     out_u = np.exp(alpha + beta - log_z)
-    out_u /= out_u.sum(axis=2, keepdims=True)
-    after = theta_u[:, 1:] + beta[:, 1:]
-    out_p = np.exp(alpha[:, :-1, :, None] + theta_p + after[:, :, None, :] - log_z[..., None])
-    out_p /= out_p.sum(axis=(2, 3), keepdims=True)
-    out = np.concatenate([out_u.reshape(B, U), out_p.reshape(B, -1)], axis=1)
+    out_u /= out_u.sum(axis=1)[:, None]
+    after = theta_u[1:] + beta[1:]
+    out_p = np.exp(alpha[:-1, :, None] + theta_p + after[:, None] - log_z).reshape(M - 1, R * R, B)
+    out_p /= out_p.sum(axis=1)[:, None]
+    out = np.concatenate([out_u.reshape(U, B), out_p.reshape(-1, B)])
     return np.maximum(out, PROB_FLOOR, out=out)
 
 
@@ -123,58 +130,62 @@ def _sinkhorn_stack(
     tol: float = SINKHORN_TOL,
     max_iter: int = SINKHORN_MAX_ITER,
 ) -> np.ndarray:
-    """Sinkhorn-Knopp projection under the entry-wise entropy, per row.
+    """Sinkhorn-Knopp projection under the entry-wise entropy, per column.
 
-    Each row stops scaling once its own residual reaches tol, so a row's
-    result does not depend on the rest of the stack.  Rows still above
-    10*tol after max_iter sweeps raise SinkhornConvergenceError.
+    A column is an M x M matrix, row-major, viewed here as an (M, M, B)
+    array.  Each column stops scaling once its own residual reaches tol,
+    so its result does not depend on the rest of the stack.  Columns still
+    above 10*tol after max_iter sweeps raise SinkhornConvergenceError,
+    which names the worst column as its `row`.
     """
-    B = P.shape[0]
-    M = math.isqrt(P.shape[1])
-    logK = (np.log(P) + eta * G).reshape(B, M, M)
-    logK -= logK.max(axis=(1, 2), keepdims=True)
-    K = np.exp(logK)
+    B = P.shape[1]
+    M = math.isqrt(P.shape[0])
+    logK = np.log(P) + eta * G
+    logK -= logK.max(axis=0)
+    K = np.exp(logK).reshape(M, M, B)
 
     residual = np.full(B, np.inf)
     active = np.arange(B)
-    Ka = K  # the rows still scaling; a copy once some rows have stopped
+    Ka = K  # the columns still scaling; a copy once some have stopped
     for _ in range(max_iter):
-        Ka /= Ka.sum(axis=2, keepdims=True)
-        Ka /= Ka.sum(axis=1, keepdims=True)
+        Ka /= Ka.sum(axis=1)[:, None]
+        Ka /= Ka.sum(axis=0)
         res = np.maximum(
-            np.abs(Ka.sum(axis=2) - 1.0).max(axis=1),
-            np.abs(Ka.sum(axis=1) - 1.0).max(axis=1),
+            np.abs(Ka.sum(axis=1) - 1.0).max(axis=0),
+            np.abs(Ka.sum(axis=0) - 1.0).max(axis=0),
         )
         residual[active] = res
         done = res <= tol
         if done.any():
-            K[active] = Ka
+            K[..., active] = Ka
             active = active[~done]
             if not active.size:
                 break
-            Ka = K[active]
+            Ka = K[..., active]
     else:
-        K[active] = Ka
+        K[..., active] = Ka
         worst = int(np.argmax(residual))
         if residual[worst] > 10 * tol:
             raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
-    out = K.reshape(B, M * M)
+    out = K.reshape(M * M, B)
     return np.maximum(out, PROB_FLOOR, out=out)
 
 
-def _checked(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float point and gradient stacks: P floored, G rejected unless finite."""
+def _columns(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column stacks of a point and a gradient given as one vector or rows.
+
+    P is floored; G is rejected unless finite.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if not np.all(np.isfinite(G)):
         raise LayoutError("non-finite gradient")
     P = np.maximum(np.atleast_2d(np.asarray(P, dtype=float)), PROB_FLOOR)
-    return P, G
+    return np.ascontiguousarray(P.T), np.ascontiguousarray(G.T)
 
 
 def project_stack(task: Task, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
     """Bregman projection of each row of P along the matching row of G."""
-    P, G = _checked(P, G)
-    return task.project_stack(P, G, eta)
+    return task.project_stack(*_columns(P, G), eta).T
 
 
 def project(task: Task, mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -184,14 +195,14 @@ def project(task: Task, mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np
 
 def project_simplex_entropic(mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     """Exponentiated-gradient step: proportional to mu_prev * exp(eta*grad)."""
-    return _softmax_stack(*_checked(mu_prev, grad), eta)[0]
+    return _softmax_stack(*_columns(mu_prev, grad), eta)[:, 0]
 
 
 def project_chain_entropic(
     mu_prev: np.ndarray, grad: np.ndarray, eta: float, task: ChainTask
 ) -> np.ndarray:
     """Exact Bregman projection of one point under the chain entropy."""
-    return _chain_stack(*_checked(mu_prev, grad), eta, task.M, task.R)[0]
+    return _chain_stack(*_columns(mu_prev, grad), eta, task.M, task.R)[:, 0]
 
 
 def project_birkhoff_sinkhorn(
@@ -202,4 +213,4 @@ def project_birkhoff_sinkhorn(
     max_iter: int = SINKHORN_MAX_ITER,
 ) -> np.ndarray:
     """Sinkhorn-Knopp projection of one point under the entry-wise entropy."""
-    return _sinkhorn_stack(*_checked(mu_prev, grad), eta, tol, max_iter)[0]
+    return _sinkhorn_stack(*_columns(mu_prev, grad), eta, tol, max_iter)[:, 0]

@@ -9,6 +9,9 @@ reported.
 
 Each task also owns its marginal polytope: the stack projection under the
 polytope's entropy and the constants that set the saddle solver's step.
+`project_stack` serves the solver engine and takes (dim, B) column stacks;
+the other methods on points and scores take one vector or a (B, dim) stack
+of rows, and `check_state` checks a whole stack at once.
 
 Decoding and the max oracle run on stacks of scores.  `decode` takes one
 score vector and returns one label, or a (B, k) stack and returns a list of
@@ -57,6 +60,12 @@ class InvalidLabelError(ValueError):
     """Raised when a label is not a member of the task's output space."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 class Task:
     """Base class; concrete tasks fill in the embedding, decoders and polytope.
 
@@ -98,7 +107,9 @@ class Task:
     def apply_loss_matrix(self, mu: np.ndarray) -> np.ndarray:
         """A @ mu for the centered loss matrix (A is symmetric here).
 
-        A (B, k) stack of points maps row by row to a (B, k) stack.
+        A (B, k) stack of points maps row by row to a (B, k) stack, in any
+        memory order: the solver engine passes the transposed view of a
+        column stack.
         """
         raise NotImplementedError
 
@@ -153,13 +164,25 @@ class Task:
         raise NotImplementedError
 
     def check_state(self, mu: np.ndarray) -> None:
-        """Validate the polytope layout invariants of mu."""
+        """Validate the polytope layout invariants of mu.
+
+        mu is one vector or a (B, dim) stack, checked in one pass; any bad
+        row raises LayoutError.
+        """
         raise NotImplementedError
 
-    def project_stack(self, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-        """Bregman projection of each row of P along the row of G, unchecked.
+    def _state_stack(self, mu: np.ndarray) -> np.ndarray:
+        """mu as a (B, embed_dim) stack, else LayoutError."""
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim not in (1, 2) or mu.shape[-1] != self.embed_dim:
+            raise LayoutError(f"expected dim {self.embed_dim}, got {mu.shape}")
+        return mu.reshape(-1, self.embed_dim)
 
-        Rows of P must be at or above PROB_FLOOR and G must be finite.
+    def project_stack(self, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
+        """Bregman projection of each column of P along the column of G, unchecked.
+
+        P and G are C-contiguous (embed_dim, B) column stacks; P must be at
+        or above PROB_FLOOR and G finite.  Returns a (embed_dim, B) stack.
         """
         raise NotImplementedError
 
@@ -168,7 +191,7 @@ class Task:
 class SimplexTask(Task):
     """k labels 1..k as simplex vertices phi(y) = e_y.
 
-    Subclasses supply `kind`, `offset` and the dense `loss_matrix()`.  The
+    Subclasses supply `kind`, `offset` and the dense `loss_matrix`.  The
     smoothness constant is ||A||_2 * diameter_sq * log k, the chain formula
     for a single position.
     """
@@ -184,14 +207,15 @@ class SimplexTask(Task):
     def embed_dim(self) -> int:
         return self.k
 
+    @cached_property
     def loss_matrix(self) -> np.ndarray:
-        """The centered loss matrix A."""
+        """The centered loss matrix A, built once per task and read-only."""
         raise NotImplementedError
 
     @cached_property
     def loss_norm(self) -> float:
         """Spectral norm of A."""
-        return float(np.linalg.norm(self.loss_matrix(), 2))
+        return float(np.linalg.norm(self.loss_matrix, 2))
 
     @cached_property
     def r2(self) -> float:
@@ -227,7 +251,7 @@ class SimplexTask(Task):
         return e
 
     def apply_loss_matrix(self, mu):
-        return np.asarray(mu, dtype=float) @ self.loss_matrix()  # A symmetric
+        return np.asarray(mu, dtype=float) @ self.loss_matrix  # A symmetric
 
     def _decode_stack(self, S):
         # exact comparison: np.argmax returns the first maximizer
@@ -241,9 +265,9 @@ class SimplexTask(Task):
 
     def check_state(self, mu):
         mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.k,):
+        if mu.ndim not in (1, 2) or mu.shape[-1] != self.k:
             raise LayoutError(f"simplex point of dim {self.k} expected")
-        if np.any(mu < -1e-12) or abs(mu.sum() - 1.0) > 1e-9:
+        if (mu < -1e-12).any() or (abs(mu.sum(axis=-1) - 1.0) > 1e-9).any():
             raise LayoutError("not a probability vector")
 
     def project_stack(self, P, G, eta):
@@ -258,8 +282,9 @@ class MulticlassTask(SimplexTask):
     offset = 1.0
     loss_norm = 1.0
 
+    @cached_property
     def loss_matrix(self):
-        return -np.eye(self.k)
+        return _read_only(-np.eye(self.k))
 
     def apply_loss_matrix(self, mu):
         return -np.asarray(mu, dtype=float)
@@ -275,9 +300,10 @@ class OrdinalTask(SimplexTask):
     kind: str = "ordinal"
     offset = 0.0
 
+    @cached_property
     def loss_matrix(self):
         idx = np.arange(1, self.k + 1)
-        return np.abs(idx[:, None] - idx[None, :]).astype(float)
+        return _read_only(np.abs(idx[:, None] - idx[None, :]).astype(float))
 
 
 @dataclass(frozen=True)
@@ -368,12 +394,12 @@ class ChainTask(Task):
 
     def apply_loss_matrix(self, mu):
         mu = np.asarray(mu, dtype=float)
-        rows = mu.shape[:-1]
         L = self.part_loss_matrix() / self.M
         out = np.zeros_like(mu)
-        # L symmetric; per-position matvec on the unary blocks
-        u = mu[..., : self.unary_dim].reshape(*rows, self.M, self.R)
-        out[..., : self.unary_dim] = (u @ L).reshape(*rows, self.unary_dim)
+        # L symmetric; per-position product on the unary blocks, taken on
+        # the transposed view, where a column stack's blocks are contiguous
+        u = mu.T[: self.unary_dim]
+        out.T[: self.unary_dim] = (L @ u.reshape(self.M, self.R, -1)).reshape(u.shape)
         return out
 
     def _backward(self, S):
@@ -418,20 +444,20 @@ class ChainTask(Task):
         return self.join(u, p)
 
     def check_state(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.embed_dim,):
-            raise LayoutError(f"expected dim {self.embed_dim}, got {mu.shape}")
-        u, p = self.split(mu)
-        if np.any(u < -1e-12) or np.any(p < -1e-12):
+        mu = self._state_stack(mu)
+        B, M, R = len(mu), self.M, self.R
+        u = mu[:, : self.unary_dim].reshape(B, M, R)
+        p = mu[:, self.unary_dim:].reshape(B, M - 1, R, R)
+        if np.any(mu < -1e-12):
             raise LayoutError("negative marginals")
-        if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(np.abs(u.sum(axis=2) - 1.0) > 1e-9):
             raise LayoutError("unary block does not sum to 1")
-        for m in range(self.M - 1):
-            if abs(p[m].sum() - 1.0) > 1e-9:
+        for m in range(M - 1):
+            if np.any(np.abs(p[:, m].sum(axis=(1, 2)) - 1.0) > 1e-9):
                 raise LayoutError(f"pairwise block {m} does not sum to 1")
-            if np.max(np.abs(p[m].sum(axis=1) - u[m])) > 1e-8:
+            if np.any(np.abs(p[:, m].sum(axis=2) - u[:, m]) > 1e-8):
                 raise LayoutError(f"pairwise block {m} inconsistent with unary {m}")
-            if np.max(np.abs(p[m].sum(axis=0) - u[m + 1])) > 1e-8:
+            if np.any(np.abs(p[:, m].sum(axis=1) - u[:, m + 1]) > 1e-8):
                 raise LayoutError(f"pairwise block {m} inconsistent with unary {m + 1}")
 
     def project_stack(self, P, G, eta):
@@ -532,15 +558,12 @@ class RankingTask(Task):
         return np.full(self.M * self.M, 1.0 / self.M)
 
     def check_state(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.embed_dim,):
-            raise LayoutError(f"expected dim {self.embed_dim}, got {mu.shape}")
-        Q = mu.reshape(self.M, self.M)
+        Q = self._state_stack(mu).reshape(-1, self.M, self.M)
         if np.any(Q < -1e-12) or np.any(Q > 1.0 + 1e-6):
             raise LayoutError("entries outside [0, 1]")
-        if np.max(np.abs(Q.sum(axis=1) - 1.0)) > 1e-6:
+        if np.any(np.abs(Q.sum(axis=2) - 1.0) > 1e-6):
             raise LayoutError("row sums deviate from 1")
-        if np.max(np.abs(Q.sum(axis=0) - 1.0)) > 1e-6:
+        if np.any(np.abs(Q.sum(axis=1) - 1.0) > 1e-6):
             raise LayoutError("column sums deviate from 1")
 
     def project_stack(self, P, G, eta):

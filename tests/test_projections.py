@@ -274,7 +274,7 @@ def test_multiclass_constant_positive_finite():
 
 def test_ordinal_constant_uses_spectral_norm():
     task = OrdinalTask(k=4)
-    a_norm = np.linalg.norm(task.loss_matrix(), 2)
+    a_norm = np.linalg.norm(task.loss_matrix, 2)
     assert abs(task.l_spmp - a_norm * 2.0 * np.log(4.0)) < 1e-12
 
 

@@ -40,8 +40,8 @@ def test_multiclass_shortcuts_match_loss_matrix():
     # -mu and ||A||_2 = 1 stand in for the dense A = -I
     t = MulticlassTask(k=4)
     mu = np.array([0.1, 0.2, 0.3, 0.4])
-    assert (t.apply_loss_matrix(mu) == mu @ t.loss_matrix()).all()
-    assert abs(t.loss_norm - np.linalg.norm(t.loss_matrix(), 2)) < 1e-12
+    assert (t.apply_loss_matrix(mu) == mu @ t.loss_matrix).all()
+    assert abs(t.loss_norm - np.linalg.norm(t.loss_matrix, 2)) < 1e-12
 
 
 def test_multiclass_embed_roundtrip():
