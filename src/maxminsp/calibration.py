@@ -102,12 +102,6 @@ def zeta_bruteforce(
         idx = int(np.flatnonzero(feasible)[np.argmin(ds[feasible])])
         estimate.zeta_lower[eps] = max(float(ds[idx]), 0.0)
         estimate.witnesses[eps] = (V[idx].copy(), Mus[idx].copy())
-    # the feasible sets are nested, so the estimates are monotone already;
-    # enforce it anyway against ties broken by floating-point noise
-    prev = 0.0
-    for eps in eps_grid:
-        estimate.zeta_lower[eps] = max(estimate.zeta_lower[eps], prev)
-        prev = estimate.zeta_lower[eps]
     return estimate
 
 

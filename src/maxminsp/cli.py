@@ -74,8 +74,8 @@ def _parse_gamma(kernel_gamma: str) -> float | None:
         g = float(kernel_gamma)
     except ValueError:
         raise ValueError(f"--kernel-gamma must be 'median' or a float, got {kernel_gamma!r}")
-    if g <= 0:
-        raise ValueError("--kernel-gamma must be positive")
+    if not 0 < g < math.inf:  # also rejects nan
+        raise ValueError("--kernel-gamma must be positive and finite")
     return g
 
 
@@ -153,7 +153,7 @@ def main():
 @main.command()
 @click.option("--kind", required=True,
               type=click.Choice(["blobs", "flatnoise", "ordinal", "hmm", "ranking"]))
-@click.option("--n", default=200, show_default=True)
+@click.option("--n", default=200, show_default=True, type=POSITIVE)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--param", "params", multiple=True,
@@ -202,8 +202,8 @@ def _parse_grid(lam, lambda_grid):
         grid = [lam] if lam is not None else [float(v) for v in lambda_grid.split(",")]
     except ValueError:
         raise ValueError(f"bad --lambda-grid {lambda_grid!r}")
-    if not all(g > 0 for g in grid):  # also rejects nan
-        raise ValueError("lambda values must be positive")
+    if not all(0 < g < math.inf for g in grid):  # also rejects nan
+        raise ValueError("lambda values must be positive and finite")
     return grid
 
 

@@ -9,6 +9,7 @@ Formats:
     separated by '|'.
   - ranking: CSV with feature_* columns followed by rank_1..rank_M
     permutation columns.
+Feature values must be finite in every format.
 
 Generators write a `<path>.bayes.json` sidecar with per-example Bayes
 predictions and the Bayes risk of the generating distribution.
@@ -63,6 +64,17 @@ class Dataset:
 # parsing
 
 
+def _features(cells, path, no) -> list[float]:
+    """The finite feature values of one line, else DatasetFormatError."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError as exc:
+        raise DatasetFormatError(path, no, f"bad feature value: {exc}") from None
+    if not all(map(math.isfinite, values)):  # float() accepts nan and inf
+        raise DatasetFormatError(path, no, "non-finite feature value")
+    return values
+
+
 def _parse_tabular(path: Path, kind: str) -> Dataset:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -81,10 +93,7 @@ def _parse_tabular(path: Path, kind: str) -> Dataset:
         cells = ln.split(",")
         if len(cells) != d + 1:
             raise DatasetFormatError(path, no, f"expected {d + 1} columns, got {len(cells)}")
-        try:
-            xs.append([float(c) for c in cells[:-1]])
-        except ValueError as exc:
-            raise DatasetFormatError(path, no, f"bad feature value: {exc}") from None
+        xs.append(_features(cells[:-1], path, no))
         try:
             y = int(cells[-1])
         except ValueError:
@@ -129,12 +138,7 @@ def _parse_sequence(path: Path) -> Dataset:
                 raise DatasetFormatError(path, no, f"expected 3 tab-separated fields, got {len(parts)}")
             _, label, blocks = parts
             y = _label_to_symbols(label, path, no)
-            feats = []
-            for block in blocks.split("|"):
-                try:
-                    feats.append([float(c) for c in block.split(",")])
-                except ValueError as exc:
-                    raise DatasetFormatError(path, no, f"bad feature value: {exc}") from None
+            feats = [_features(block.split(","), path, no) for block in blocks.split("|")]
             if len(feats) != len(y):
                 raise DatasetFormatError(
                     path, no, f"{len(y)} labels but {len(feats)} feature blocks"
@@ -171,11 +175,11 @@ def _parse_ranking(path: Path) -> Dataset:
         cells = ln.split(",")
         if len(cells) != d + M:
             raise DatasetFormatError(path, no, f"expected {d + M} columns, got {len(cells)}")
+        xs.append(_features(cells[:d], path, no))
         try:
-            xs.append([float(c) for c in cells[:d]])
             y = tuple(int(c) for c in cells[d:])
         except ValueError as exc:
-            raise DatasetFormatError(path, no, f"bad value: {exc}") from None
+            raise DatasetFormatError(path, no, f"bad rank value: {exc}") from None
         if sorted(y) != list(range(1, M + 1)):
             raise DatasetFormatError(path, no, f"{y!r} is not a permutation of 1..{M}")
         ys.append(y)

@@ -7,6 +7,7 @@ realized as the scalar kernel times the identity on output coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if self.kind == "gaussian" and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 def _as_matrix(xs: np.ndarray) -> np.ndarray:

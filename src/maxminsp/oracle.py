@@ -3,17 +3,17 @@
 Solves  max_{mu in M} min_{nu in M}  nu^T A mu + v^T mu  by extra-gradient
 mirror steps and certifies the duality gap exactly with two calls to the
 task's max oracle (`certified_gap`, over one vector or a stack).  One
-engine, `_mirror_prox`, serves every task and batch size: it solves a
-(B, dim) stack of score vectors at once, and since both players live on
-the same polytope it keeps them as one C-contiguous (dim, 2B) column
-stack, so each half-step is one apply-A and one projection call, and the
-projection kernels reduce over leading axes.  The engine transposes the
-scores once on entry and its results once on return, so its callers see
-(B, dim) rows.  The polytope enters only through the task: its
-`project_stack`, `apply_loss_matrix`, `l_spmp` and `r2`.  `spmp_solve` is
-a one-vector call into the engine, `trainer.dual_gap` certifies all
-examples with one call, and `spmp_solve_batch_simplex` solves a stack on
-any polytope.
+engine, `spmp_solve_batch_simplex`, serves every task and batch size, and
+every caller enters through it: it solves a (B, dim) stack of score
+vectors at once, and since both players live on the same polytope it keeps
+them as one C-contiguous (dim, 2B) column stack, so each half-step is one
+apply-A and one projection call, and the projection kernels reduce over
+leading axes.  The engine transposes the scores once on entry and splits
+its results into (B, dim) player stacks on return, so the column stack
+never leaves it.  The polytope enters only through the task: its
+`project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`.
+`spmp_solve` is one engine call on one vector plus its certificate, and
+`trainer.dual_gap` certifies all examples with one engine call.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class OracleResult:
     nu_bar: np.ndarray
     gap: float
     saddle_value: float
-    mu_last: np.ndarray | None = None
-    nu_last: np.ndarray | None = None
+    mu_last: np.ndarray
+    nu_last: np.ndarray
 
 
 def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> np.ndarray:
@@ -60,13 +60,13 @@ def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> 
     return upper - lower
 
 
-def _mirror_prox(
+def spmp_solve_batch_simplex(
     V: np.ndarray,
     task: Task,
     K: int,
     eta: float | None = None,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
     The iterate is one C-contiguous (dim, 2B) column stack X: columns :B
@@ -77,8 +77,11 @@ def _mirror_prox(
     is 1/(2 L) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
-    or B rows each, already inside the polytope.  Returns (X_bar, X_last)
-    as C-contiguous (2B, dim) stacks: rows :B are mu, rows B: are nu.
+    or B rows each; it is floored and checked against the polytope.
+    Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
+    iterates and the final full-step iterates, as C-contiguous (B, dim)
+    stacks.  Serves every polytope; the name predates that and stays
+    because the benchmark traces and patches this function.
     """
     if K < 1:
         raise ValueError("iteration budget must be >= 1")
@@ -94,9 +97,12 @@ def _mirror_prox(
     if init is None:
         X = np.tile(task.uniform_state()[:, None], (1, 2 * B))
     else:
-        X = np.concatenate(
-            [np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init]
-        ).T.copy()
+        try:
+            X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
+        except ValueError:
+            raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
+        task.check_state(X)
+        X = X.T.copy()
 
     # one gradient buffer: each projection reads it before the next grad call
     G = np.empty_like(X)
@@ -120,24 +126,7 @@ def _mirror_prox(
             ) from exc
         X_sum += X_half
     X_sum /= K
-    return X_sum.T.copy(), X.T.copy()
-
-
-def spmp_solve_batch_simplex(
-    V: np.ndarray,
-    task: Task,
-    K: int,
-    eta: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run K mirror-prox rounds on a stack of score vectors at once.
-
-    Returns (mu_bar, nu_bar, mu_last, nu_last): the averaged half-step
-    iterates followed by the final full-step iterates, each shaped like V.
-    Serves every polytope; the name predates that and stays because the
-    benchmark traces and patches this function.
-    """
-    X_bar, X = _mirror_prox(V, task, K, eta)
-    B = len(X) // 2
+    X_bar, X = X_sum.T.copy(), X.T.copy()
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
 
 
@@ -150,15 +139,11 @@ def spmp_solve(
 ) -> OracleResult:
     """Extra-gradient saddle solver for one score vector.
 
-    See `_mirror_prox` for the rounds and the default eta.  A warm-start
-    init is floored and checked against the polytope.
+    One engine call (see `spmp_solve_batch_simplex` for the rounds, the
+    default eta and the warm start), then its certificate and saddle value.
     """
     v = np.asarray(v, dtype=float)
-    if init is not None:
-        init = tuple(np.maximum(np.asarray(x, dtype=float), PROB_FLOOR) for x in init)
-        task.check_state(init[0])
-        task.check_state(init[1])
-    (mu_bar, nu_bar), (mu, nu) = _mirror_prox(v, task, K, eta, init)
+    mu_bar, nu_bar, mu, nu = (x[0] for x in spmp_solve_batch_simplex(v, task, K, eta, init))
     gap = float(certified_gap(mu_bar, nu_bar, v, task)[0])
     saddle = float(nu_bar @ task.apply_loss_matrix(mu_bar)) + float(v @ mu_bar) + task.offset
     return OracleResult(
@@ -169,4 +154,3 @@ def spmp_solve(
         mu_last=mu,
         nu_last=nu,
     )
-

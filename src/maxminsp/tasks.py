@@ -278,7 +278,7 @@ class SimplexTask(Task):
 class MulticlassTask(SimplexTask):
     """k classes, 0-1 loss.  phi(y) = e_y, A = -I, a = 1."""
 
-    kind: str = "multiclass"
+    kind = "multiclass"
     offset = 1.0
     loss_norm = 1.0
 
@@ -297,7 +297,7 @@ class OrdinalTask(SimplexTask):
     phi(y) = e_y and A_ij = |i - j|, a = 0.
     """
 
-    kind: str = "ordinal"
+    kind = "ordinal"
     offset = 0.0
 
     @cached_property
@@ -317,7 +317,7 @@ class ChainTask(Task):
 
     M: int
     R: int
-    kind: str = "chain"
+    kind = "chain"
 
     def __post_init__(self):
         if self.M < 1:
@@ -474,7 +474,7 @@ class RankingTask(Task):
     """
 
     M: int
-    kind: str = "ranking"
+    kind = "ranking"
 
     @property
     def embed_dim(self) -> int:

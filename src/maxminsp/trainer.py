@@ -6,18 +6,21 @@ is represented through kernel coefficients C_i = (mu_i - phi(y_i)) / (lambda
 n), and the score at x is g(x) = -sum_j k(x, x_j) C_j.  Per iteration one
 block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
-Convex combination steps use gamma_t = 2n / (t + 2n).
+Convex combination steps use gamma_t = 2n / (t + 2n).  Block solves and the
+per-pass certificate both enter the oracle through its one engine,
+`spmp_solve_batch_simplex` (block solves by way of `spmp_solve`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import _mirror_prox, certified_gap, spmp_solve
+from .oracle import certified_gap, spmp_solve, spmp_solve_batch_simplex
 from .tasks import Task
 
 __all__ = [
@@ -42,8 +45,8 @@ class TrainConfig:
     gap_oracle_iters: int = 500
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:  # also rejects nan
+            raise ValueError("lambda must be positive and finite")
         if self.spmp_iters < 1:
             raise ValueError("oracle budget must be >= 1")
 
@@ -98,15 +101,15 @@ def dual_gap(
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
     bounded from above through the oracle's min player nu_i.  The phi(y_i)
     terms cancel, so the bound is the certified saddle gap of the scores
-    g(x_i) at (mu_i, nu_i).  One oracle solve covers all examples, with the
+    g(x_i) at (mu_i, nu_i).  One engine call covers all examples, with the
     task's certification step.
     """
     task = model.task
     if K_gram is None:
         K_gram = gram(model.xs, model.kernel)
     V = _scores_from_gram(K_gram, model.kernel_coeffs)
-    X_bar, _ = _mirror_prox(V, task, oracle_iters, task.certify_eta)
-    return float(np.mean(certified_gap(model.dual_mu, X_bar[model.n:], V, task)))
+    nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, task.certify_eta)[1]
+    return float(np.mean(certified_gap(model.dual_mu, nu_bar, V, task)))
 
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:

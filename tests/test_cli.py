@@ -70,6 +70,12 @@ def test_train_parse_error_exits_2(tmp_path):
     res = run(["train", "--data", str(_synth_blobs(tmp_path)), "--task", "multiclass",
                "--lambda-grid", "0.1,nope", "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
+    # float() parses nan, so a nan feature cell must fail parsing, not training
+    bad.write_text("feature_0,label\n0.5,1\nnan,2\n")
+    res = run(["train", "--data", str(bad), "--task", "multiclass", "--lambda", "0.1",
+               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "bad.csv:3: non-finite feature value" in res.output
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -157,7 +163,7 @@ def test_calib_chain_runs_with_its_defaults(tmp_path):
     assert rec["constant_c"] == 2.0
 
 
-@pytest.mark.parametrize("gamma", ["nope", "-2"])
+@pytest.mark.parametrize("gamma", ["nope", "-2", "nan"])
 def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
     p = _synth_blobs(tmp_path, n=30)
     res = run(["bench", "--data", str(p), "--task", "multiclass", "--lambda", "0.2",
@@ -171,6 +177,9 @@ def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
     ["train", "--lambda", "0"],
     ["train", "--lambda", "-1"],
     ["train", "--lambda", "nan"],
+    ["train", "--lambda", "inf"],
+    ["train", "--lambda-grid", "0.1,inf"],
+    ["train", "--lambda", "0.1", "--kernel-gamma", "inf"],
     ["train", "--lambda", "0.1", "--spmp-iters", "0"],
     ["train", "--lambda", "0.1", "--passes", "0"],
     ["train", "--lambda", "0.1", "--passes", "-1"],
@@ -181,6 +190,15 @@ def test_bad_numeric_training_options_exit_2(tmp_path, args):
     res = run([*args, "--data", str(p), "--task", "multiclass", "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_synth_bad_count_exits_2(tmp_path, n):
+    out = tmp_path / "blobs.csv"
+    res = run(["synth", "--kind", "blobs", "--n", n, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--n" in res.output
+    assert not out.exists()
 
 
 def test_calib_zero_budget_exits_2(tmp_path):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxminsp.oracle import _mirror_prox, certified_gap
+from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
 from maxminsp.projections import (
     PROB_FLOOR,
     SINKHORN_MAX_ITER,
@@ -202,14 +202,13 @@ def test_mirror_prox_stack_equals_row_calls(task):
     mu = interior_points(task, rng, rows)
     nu = interior_points(task, rng, rows)
     for init in (None, (mu, nu)):
-        X_bar, X = _mirror_prox(V, task, 30, None, init)
-        assert X_bar.shape == X.shape == (2 * rows, task.embed_dim)
-        assert X_bar.flags.c_contiguous and X.flags.c_contiguous
+        stacks = spmp_solve_batch_simplex(V, task, 30, None, init)
+        for s in stacks:
+            assert s.shape == (rows, task.embed_dim) and s.flags.c_contiguous
         for b in range(rows):
             one = None if init is None else (mu[b], nu[b])
-            x_bar, x = _mirror_prox(V[b], task, 30, None, one)
-            assert np.array_equal(x_bar, X_bar[[b, rows + b]])
-            assert np.array_equal(x, X[[b, rows + b]])
+            for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, None, one)):
+                assert np.array_equal(got[b], row[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,5 +277,12 @@ def test_one_bad_row_in_a_stack_raises(task):
         assert str(stacked.value) == str(single.value), name
         with pytest.raises(LayoutError):
             certified_gap(good, stack, np.zeros_like(good), task)
+        # a bad warm-start row, on either player or broadcast from one vector
+        for init in ((stack, good), (good, stack), (bad, good[0])):
+            with pytest.raises(LayoutError):
+                spmp_solve_batch_simplex(good, task, 3, None, init)
     with pytest.raises(LayoutError):
         task.check_state(np.zeros((2, task.embed_dim + 1)))
+    for init in ((good[:, 1:], good), (good, good[:2])):  # wrong width, wrong row count
+        with pytest.raises(LayoutError):
+            spmp_solve_batch_simplex(good, task, 3, None, init)

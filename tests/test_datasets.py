@@ -74,6 +74,8 @@ def test_tabular_parse_errors(tmp_path):
         ("feature_0,label\n1.0,zero\n", 2),
         ("feature_0,label\n1.0,0\n", 2),
         ("feature_0,label\n", 1),
+        ("feature_0,label\nnan,1\n", 2),  # float() parses nan and inf
+        ("feature_0,label\n1.0,1\n-Infinity,2\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(DatasetFormatError) as exc:
@@ -88,6 +90,8 @@ def test_sequence_parse_errors(tmp_path):
         ("seq0\t12\t0.1\n", 1),  # one block for two labels
         ("seq0\t12\t0.1|0.2\nseq1\t121\t0.1|0.2|0.3\n", 2),  # length change
         ("seq0\t12\t0.1|x\n", 1),  # bad feature
+        ("seq0\t12\t0.1|0.2\nseq1\t12\t0.1|inf\n", 2),  # non-finite feature
+        ("seq0\t12\tNaN,0.1|0.2,0.3\n", 1),
         ("", 1),
     ]
     for text, line in cases:
@@ -102,6 +106,8 @@ def test_ranking_parse_errors(tmp_path):
         ("feature_0,rank_1,rank_2\n0.5,1\n", 2),  # short row
         ("feature_0,order_1\n0.5,1\n", 1),  # bad header
         ("feature_0,rank_1,rank_2\n0.5,a,b\n", 2),  # bad rank values
+        ("feature_0,rank_1,rank_2\nnan,1,2\n", 2),  # non-finite features
+        ("feature_0,rank_1,rank_2\n0.5,1,2\ninf,2,1\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(DatasetFormatError) as exc:

@@ -76,5 +76,6 @@ def test_median_heuristic_rejects_identical_points():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("cubic")
-    with pytest.raises(ValueError):
-        KernelSpec("gaussian", gamma=-1.0)
+    for gamma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            KernelSpec("gaussian", gamma=gamma)

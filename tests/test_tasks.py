@@ -223,6 +223,19 @@ def test_make_task_dispatch():
         make_task("nope")
 
 
+@pytest.mark.parametrize("cls, args, kind", [
+    (MulticlassTask, (3,), "multiclass"), (OrdinalTask, (3,), "ordinal"),
+    (ChainTask, (2, 2), "chain"), (RankingTask, (3,), "ranking"),
+])
+def test_kind_is_not_settable(cls, args, kind):
+    # kind names the loss, so a 0-1 task must not be able to call itself ordinal
+    assert cls(*args).kind == kind
+    with pytest.raises(TypeError):
+        cls(*args, "ordinal")
+    with pytest.raises(TypeError):
+        cls(*args, kind="ordinal")
+
+
 def test_uniform_states_are_valid():
     for t in (
         MulticlassTask(k=4),

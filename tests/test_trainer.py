@@ -170,8 +170,9 @@ def test_m3n_trains_and_predicts():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        TrainConfig(lam=0.0)
+    for lam in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(lam=lam)
     with pytest.raises(ValueError):
         TrainConfig(spmp_iters=0)
 
