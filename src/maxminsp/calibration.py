@@ -32,8 +32,6 @@ _SCALE = 2.0
 
 @dataclass
 class CalibrationEstimate:
-    task: Task
-    epsilons: list[float]
     zeta_lower: dict[float, float]
     witnesses: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -93,7 +91,7 @@ def zeta_bruteforce(
     ds = inner_min(mu_bars) - inner_min(Mus)
     dl = _excess_task_risk(task, V, Mus)
 
-    estimate = CalibrationEstimate(task=task, epsilons=eps_grid, zeta_lower={})
+    estimate = CalibrationEstimate(zeta_lower={})
     for eps in eps_grid:
         feasible = dl >= eps
         if not feasible.any():

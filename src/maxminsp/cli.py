@@ -34,6 +34,7 @@ EXIT_TRAIN = 3
 
 DEFAULT_LAMBDA_GRID = [2.0 ** -j for j in range(1, 11)]
 POSITIVE = click.IntRange(min=1)
+SEED = click.IntRange(min=0)
 
 
 def _fail(code: int, message: str):
@@ -119,14 +120,22 @@ def _train_split(ds: Dataset, task, name: str, data_hash: int, split_seed: int, 
     return records, diagnostics
 
 
+def _finite(value):
+    """The value with each non-finite float, also inside dicts, as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json(rec: dict) -> str:
+    """One strict JSON line: an empty split's loss or an unreached eps is null."""
+    return json.dumps(_finite(rec), sort_keys=True, allow_nan=False)
+
+
 def _emit(out_dir: Path, results: list[dict], diagnostics: list[dict]):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.jsonl", "w") as fh:
-        for rec in results:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(out_dir / "diagnostics.jsonl", "w") as fh:
-        for rec in diagnostics:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    for name, records in (("results.jsonl", results), ("diagnostics.jsonl", diagnostics)):
+        (out_dir / name).write_text("".join(_json(rec) + "\n" for rec in records))
 
 
 def _table(rows: list[dict], columns: list[str]) -> str:
@@ -154,7 +163,7 @@ def main():
 @click.option("--kind", required=True,
               type=click.Choice(["blobs", "flatnoise", "ordinal", "hmm", "ranking"]))
 @click.option("--n", default=200, show_default=True, type=POSITIVE)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--param", "params", multiple=True,
               help="generator parameter as name=value (e.g. k=3, separation=2.5)")
@@ -190,7 +199,7 @@ def _common_train_options(fn):
     fn = click.option("--warm-start", default="on", show_default=True,
                       type=click.Choice(["on", "off"]))(fn)
     fn = click.option("--kernel-gamma", default="median", show_default=True)(fn)
-    fn = click.option("--seed", default=0, show_default=True)(fn)
+    fn = click.option("--seed", default=0, show_default=True, type=SEED)(fn)
     fn = click.option("--out", default="out", show_default=True, type=click.Path())(fn)
     return fn
 
@@ -273,7 +282,7 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
 @click.option("--rank-m", default=3, show_default=True)
 @click.option("--budget", default=20000, show_default=True, type=POSITIVE,
               help="search size: 1.5 x budget score rows, each solved for 3000 oracle rounds")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--out", default="out", show_default=True, type=click.Path())
 def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):
     """Calibration constants and zeta estimates on a tiny task."""
@@ -296,7 +305,7 @@ def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):
     except (ValueError, AssertionError) as exc:
         _fail(EXIT_PARSE, str(exc))
     _emit(Path(out), records, [])
-    click.echo(json.dumps(records[0], sort_keys=True))
+    click.echo(_json(records[0]))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Formats:
 Feature values must be finite in every format.
 
 Generators write a `<path>.bayes.json` sidecar with per-example Bayes
-predictions and the Bayes risk of the generating distribution.
+predictions and the Bayes risk of the generating distribution.  Each
+builds its task first, whose constructor rejects parameters no task takes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 
 __all__ = [
     "Dataset",
@@ -256,6 +259,7 @@ def load_bayes_sidecar(path) -> dict:
 
 def synth_blobs(n: int, k: int = 3, separation: float = 3.0, d: int = 2, seed: int = 0) -> tuple[Dataset, list, float]:
     """Gaussian blobs with means on a circle; Bayes = nearest mean."""
+    task = MulticlassTask(k)
     rng = np.random.default_rng(seed)
     angles = 2 * np.pi * np.arange(k) / k
     means = separation * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -272,19 +276,20 @@ def synth_blobs(n: int, k: int = 3, separation: float = 3.0, d: int = 2, seed: i
     x_mc = means[labs_mc] + mc.normal(size=(200_000, d))
     d_mc = ((x_mc[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     risk = float(np.mean(d_mc.argmin(axis=1) != labs_mc))
-    return Dataset(xs, ys, "multiclass", {"k": k}), bayes, risk
+    return Dataset(xs, ys, task.kind, {"k": k}), bayes, risk
 
 
 def synth_flatnoise(n: int, probs=(0.4, 0.35, 0.25), d: int = 2, seed: int = 0) -> tuple[Dataset, list, float]:
     """Labels drawn from one fixed distribution everywhere; Bayes = argmax."""
     probs = np.asarray(probs, dtype=float)
     probs = probs / probs.sum()
+    task = MulticlassTask(len(probs))
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(n, d))
     ys = [int(c) + 1 for c in rng.choice(len(probs), size=n, p=probs)]
     b = int(np.argmax(probs)) + 1
     return (
-        Dataset(xs, ys, "multiclass", {"k": len(probs)}),
+        Dataset(xs, ys, task.kind, {"k": task.k}),
         [b] * n,
         float(1.0 - probs.max()),
     )
@@ -292,6 +297,7 @@ def synth_flatnoise(n: int, probs=(0.4, 0.35, 0.25), d: int = 2, seed: int = 0) 
 
 def synth_ordinal(n: int, k: int = 5, d: int = 2, noise: float = 0.8, seed: int = 0) -> tuple[Dataset, list, float]:
     """Latent linear score quantized to 1..k; Bayes = quantized clean score."""
+    task = OrdinalTask(k)
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(n, d))
     w = np.ones(d) / math.sqrt(d)
@@ -302,16 +308,16 @@ def synth_ordinal(n: int, k: int = 5, d: int = 2, noise: float = 0.8, seed: int 
     ys = [int(c) for c in quantize(z + noise * rng.normal(size=n))]
     bayes = [int(c) for c in quantize(z)]
     risk = float(np.mean(np.abs(quantize(z + noise * rng.normal(size=n)) - np.array(bayes))))
-    return Dataset(xs, ys, "ordinal", {"k": k}), bayes, risk
+    return Dataset(xs, ys, task.kind, {"k": k}), bayes, risk
 
 
 def synth_hmm(n: int, M: int = 4, R: int = 3, d: int = 2, stay: float = 0.7,
               emit_sep: float = 2.0, seed: int = 0) -> tuple[Dataset, list, float]:
     """Hidden Markov sequences; Bayes per position via forward-backward."""
+    task = ChainTask(M, R)
     rng = np.random.default_rng(seed)
-    T = np.full((R, R), (1.0 - stay) / (R - 1)) if R > 1 else np.ones((1, 1))
-    if R > 1:
-        np.fill_diagonal(T, stay)
+    T = np.full((R, R), (1.0 - stay) / (R - 1))
+    np.fill_diagonal(T, stay)
     pi = np.full(R, 1.0 / R)
     means = emit_sep * np.stack(
         [np.cos(2 * np.pi * np.arange(R) / R), np.sin(2 * np.pi * np.arange(R) / R)], axis=1
@@ -345,11 +351,12 @@ def synth_hmm(n: int, M: int = 4, R: int = 3, d: int = 2, stay: float = 0.7,
         ys.append(tuple(s + 1 for s in states))
         bayes.append(tuple(int(p) + 1 for p in pred))
     risk = errs / (n * M)
-    return Dataset(np.array(xs), ys, "chain", {"M": M, "R": R}), bayes, risk
+    return Dataset(np.array(xs), ys, task.kind, {"M": M, "R": R}), bayes, risk
 
 
 def synth_ranking(n: int, M: int = 4, d: int = 3, noise: float = 0.5, seed: int = 0) -> tuple[Dataset, list, float]:
     """Item scores linear in features plus noise; Bayes = clean-score order."""
+    task = RankingTask(M)
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(n, d))
     W = rng.normal(size=(M, d))
@@ -366,7 +373,7 @@ def synth_ranking(n: int, M: int = 4, d: int = 3, noise: float = 0.5, seed: int 
     risk = float(np.mean([
         sum(a != b for a, b in zip(p, q)) / M for p, q in zip(sample, bayes)
     ]))
-    return Dataset(xs, ys, "ranking", {"M": M}), bayes, risk
+    return Dataset(xs, ys, task.kind, {"M": M}), bayes, risk
 
 
 _GENERATORS = {

@@ -12,10 +12,10 @@ the gradient stack, independently of the other columns.  Every reduction
 then runs over a leading axis and every log and exp over a contiguous
 array.  The kernels take arrays and shape integers only; each task's
 `project_stack` picks its kernel, unchecked, for the solver engine, which
-keeps its iterates inside the polytope as column stacks.  The wrappers
-keep rows: `project_stack` here takes and returns a (B, dim) stack and
-checks its inputs first, and it and the one-vector functions transpose at
-their boundary.
+keeps its iterates inside the polytope as column stacks.  `project` is
+the one checked entry for every task: it takes one vector or a (B, dim)
+row stack; `project_birkhoff_sinkhorn` also takes Sinkhorn's tol and sweep
+cap, whose defaults the engine uses.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .tasks import ChainTask, Task
+    from .tasks import Task
 
 __all__ = [
     "LayoutError",
     "SinkhornConvergenceError",
     "project",
-    "project_stack",
-    "project_simplex_entropic",
-    "project_chain_entropic",
     "project_birkhoff_sinkhorn",
     "PROB_FLOOR",
 ]
@@ -44,7 +41,8 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 SINKHORN_TOL = 1e-9
-SINKHORN_MAX_ITER = 10_000
+# one cap for every caller: near-vertex iterates slow Sinkhorn's linear rate
+SINKHORN_MAX_ITER = 100_000
 
 
 class LayoutError(ValueError):
@@ -183,26 +181,10 @@ def _columns(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(P.T), np.ascontiguousarray(G.T)
 
 
-def project_stack(task: Task, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-    """Bregman projection of each row of P along the matching row of G."""
-    return task.project_stack(*_columns(P, G), eta).T
-
-
 def project(task: Task, mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """Bregman projection of one point onto the task's polytope."""
-    return project_stack(task, mu_prev, grad, eta)[0]
-
-
-def project_simplex_entropic(mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """Exponentiated-gradient step: proportional to mu_prev * exp(eta*grad)."""
-    return _softmax_stack(*_columns(mu_prev, grad), eta)[:, 0]
-
-
-def project_chain_entropic(
-    mu_prev: np.ndarray, grad: np.ndarray, eta: float, task: ChainTask
-) -> np.ndarray:
-    """Exact Bregman projection of one point under the chain entropy."""
-    return _chain_stack(*_columns(mu_prev, grad), eta, task.M, task.R)[:, 0]
+    """Bregman projection of one point, or of each row of a stack, onto the task's polytope."""
+    out = task.project_stack(*_columns(mu_prev, grad), eta).T
+    return out if np.ndim(mu_prev) > 1 else out[0]
 
 
 def project_birkhoff_sinkhorn(

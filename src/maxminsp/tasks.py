@@ -32,13 +32,7 @@ from typing import Iterator
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .projections import (
-    SINKHORN_MAX_ITER,
-    LayoutError,
-    _chain_stack,
-    _sinkhorn_stack,
-    _softmax_stack,
-)
+from .projections import LayoutError, _chain_stack, _sinkhorn_stack, _softmax_stack
 
 __all__ = [
     "Task",
@@ -476,6 +470,10 @@ class RankingTask(Task):
     M: int
     kind = "ranking"
 
+    def __post_init__(self):
+        if self.M < 1:
+            raise ValueError(f"ranking task needs at least one item, got M={self.M}")
+
     @property
     def embed_dim(self) -> int:
         return self.M * self.M
@@ -567,9 +565,7 @@ class RankingTask(Task):
             raise LayoutError("column sums deviate from 1")
 
     def project_stack(self, P, G, eta):
-        # near-vertex iterates slow Sinkhorn's linear rate; give the inner
-        # loop room beyond the stand-alone default
-        return _sinkhorn_stack(P, G, eta, max_iter=10 * SINKHORN_MAX_ITER)
+        return _sinkhorn_stack(P, G, eta)
 
 
 def make_task(kind: str, **params) -> Task:

@@ -21,11 +21,7 @@ from maxminsp.cli import main as cli_main
 from maxminsp.datasets import synth_blobs, synth_flatnoise, synth_ordinal
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
 from maxminsp.oracle import spmp_solve, spmp_solve_batch_simplex
-from maxminsp.projections import (
-    project_birkhoff_sinkhorn,
-    project_chain_entropic,
-    project_simplex_entropic,
-)
+from maxminsp.projections import project, project_birkhoff_sinkhorn
 from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask
 from maxminsp.trainer import TrainConfig, dual_gap, gbcfw_train, m3n_train, predict
 
@@ -118,7 +114,7 @@ def test_criterion_3_projection_oracles():
         )
         grad = rng.normal(size=task.embed_dim)
         eta = float(rng.uniform(0.2, 2.0))
-        out = project_chain_entropic(mu_prev, grad, eta, task)
+        out = project(task, mu_prev, grad, eta)
         # exact Gibbs answer by enumerating all sequences
         probs = _gibbs_distribution(task, mu_prev, grad, eta)
         expect = np.sum(
@@ -150,7 +146,7 @@ def test_criterion_3_projection_oracles():
         mu_prev = rng.dirichlet(np.ones(k))
         grad = rng.normal(size=k)
         eta = float(rng.uniform(0.2, 2.0))
-        out = project_simplex_entropic(mu_prev, grad, eta)
+        out = project(MulticlassTask(k), mu_prev, grad, eta)
         ref = _numeric_simplex_bregman(mu_prev, grad, eta)
         worst_simplex = max(worst_simplex, float(np.max(np.abs(out - ref))))
 

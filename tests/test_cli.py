@@ -31,6 +31,12 @@ def test_synth_bad_param_exits_2(tmp_path):
     assert res.exit_code == 2
     res = run(["synth", "--kind", "nothing", "--n", "10", "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
+    # parameters no task can take: the generator's task constructor rejects them
+    for kind, param in [("hmm", "M=0"), ("ranking", "M=0"), ("hmm", "R=1"), ("blobs", "k=1")]:
+        out = tmp_path / f"{kind}.txt"
+        res = run(["synth", "--kind", kind, "--n", "5", "--param", param, "--out", str(out)])
+        assert res.exit_code == 2, (kind, param)
+        assert not out.exists() and not (tmp_path / f"{kind}.txt.bayes.json").exists()
 
 
 def test_train_single_lambda(tmp_path):
@@ -184,6 +190,8 @@ def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
     ["train", "--lambda", "0.1", "--passes", "0"],
     ["train", "--lambda", "0.1", "--passes", "-1"],
     ["bench", "--lambda", "0.1", "--splits", "0"],
+    ["train", "--lambda", "0.1", "--seed", "-1"],
+    ["bench", "--lambda", "0.1", "--seed", "-1"],
 ])
 def test_bad_numeric_training_options_exit_2(tmp_path, args):
     p = _synth_blobs(tmp_path, n=30)
@@ -233,3 +241,28 @@ def test_one_label_tasks_exit_2(tmp_path, args):
     res = run([*args, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert not (tmp_path / "o").exists()
+
+
+def _strict_json(line):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_records_write_non_finite_values_as_null(tmp_path):
+    # one search row finds no witness for any eps, so every zeta is infinite
+    out = tmp_path / "calib"
+    res = run(["calib", "--task", "ordinal", "--k", "3", "--budget", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    for line in (res.output.splitlines()[-1], (out / "results.jsonl").read_text()):
+        assert _strict_json(line)["zeta_lower"] == {"0.1": None, "0.3": None, "0.5": None}
+    # three rows leave the test split empty, so its loss is undefined
+    p = _synth_blobs(tmp_path, n=3)
+    out = tmp_path / "train"
+    res = run(["train", "--data", str(p), "--task", "multiclass", "--lambda", "0.1",
+               "--passes", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rec = _strict_json((out / "results.jsonl").read_text())
+    assert rec["test_loss"] is None and rec["val_loss"] is not None
+    for line in (out / "diagnostics.jsonl").read_text().splitlines():
+        _strict_json(line)
