@@ -12,8 +12,11 @@ leading axes.  The engine transposes the scores once on entry and splits
 its results into (B, dim) player stacks on return, so the column stack
 never leaves it.  The polytope enters only through the task: its
 `project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`.
-`spmp_solve` is one engine call on one vector plus its certificate, and
-`trainer.dual_gap` certifies all examples with one engine call.
+`spmp_solve` is one engine call on one vector plus its certificate.  The
+trainer calls the engine itself, once per block update, and certifies a
+whole training afterwards: `trainer.dual_gap` makes one engine call over
+every example of every pass, and `certified_gap` is called once on all
+block updates' iterates.
 """
 
 from __future__ import annotations

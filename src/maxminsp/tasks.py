@@ -54,6 +54,13 @@ class InvalidLabelError(ValueError):
     """Raised when a label is not a member of the task's output space."""
 
 
+def _check_sizes(**sizes) -> None:
+    """Reject task sizes that are not integers; numpy integers count, bools do not."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"task size {name} must be an integer, got {value!r}")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
@@ -194,6 +201,7 @@ class SimplexTask(Task):
     diameter_sq = 2.0
 
     def __post_init__(self):
+        _check_sizes(k=self.k)
         if self.k < 2:  # one label leaves no entropy range to step in
             raise ValueError(f"a simplex task needs at least 2 labels, got k={self.k}")
 
@@ -314,6 +322,7 @@ class ChainTask(Task):
     kind = "chain"
 
     def __post_init__(self):
+        _check_sizes(M=self.M, R=self.R)
         if self.M < 1:
             raise ValueError(f"chain task needs at least one position, got M={self.M}")
         if self.R < 2:
@@ -471,6 +480,7 @@ class RankingTask(Task):
     kind = "ranking"
 
     def __post_init__(self):
+        _check_sizes(M=self.M)
         if self.M < 1:
             raise ValueError(f"ranking task needs at least one item, got M={self.M}")
 

@@ -6,9 +6,18 @@ is represented through kernel coefficients C_i = (mu_i - phi(y_i)) / (lambda
 n), and the score at x is g(x) = -sum_j k(x, x_j) C_j.  Per iteration one
 block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
-Convex combination steps use gamma_t = 2n / (t + 2n).  Block solves and the
-per-pass certificate both enter the oracle through its one engine,
-`spmp_solve_batch_simplex` (block solves by way of `spmp_solve`).
+Convex combination steps use gamma_t = 2n / (t + 2n).  Each m4n block
+update is one call of the oracle's engine, `spmp_solve_batch_simplex`, on
+one score vector.
+
+Certificates never feed back into training, so they are all taken after
+the last pass: each pass's dual state and each block update's scores and
+averaged iterates are kept in (passes, n, dim) arrays, then one
+`dual_gap` call (one engine call over every pass's examples) gives each
+pass's dual gap and one `certified_gap` call gives each pass's mean block
+oracle gap.  The engine is row-independent, so each pass's dual gap
+equals that of certifying the pass alone; certification memory is
+O(passes n dim).
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import certified_gap, spmp_solve, spmp_solve_batch_simplex
+from .oracle import certified_gap, spmp_solve_batch_simplex
 from .tasks import Task
 
 __all__ = [
@@ -94,22 +103,34 @@ def dual_gap(
     model: DualModel,
     K_gram: np.ndarray | None = None,
     oracle_iters: int = 500,
-) -> float:
+    mu: np.ndarray | None = None,
+) -> float | np.ndarray:
     """Upper bound on the dual suboptimality, averaged over examples.
 
     Per example:  max_mu' H_i(mu', w) - H_i(mu_i, w)  with
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
     bounded from above through the oracle's min player nu_i.  The phi(y_i)
     terms cancel, so the bound is the certified saddle gap of the scores
-    g(x_i) at (mu_i, nu_i).  One engine call covers all examples, with the
-    task's certification step.
+    g(x_i) at (mu_i, nu_i), the scores taken from the coefficients
+    (mu - phi(y)) / (lambda n) of the state.
+
+    mu is the dual state, model.dual_mu by default: one (n, dim) state
+    gives one float, a (P, n, dim) stack of states gives P mean gaps.  One
+    engine call covers every example of every state, with the task's
+    certification step; the engine is row-independent, so a state's gap
+    does not depend on what it is stacked with.
     """
     task = model.task
     if K_gram is None:
         K_gram = gram(model.xs, model.kernel)
-    V = _scores_from_gram(K_gram, model.kernel_coeffs)
+    mu = model.dual_mu if mu is None else np.asarray(mu, dtype=float)
+    states = mu.reshape(-1, model.n, task.embed_dim)
+    coeffs = (states - model.embedded_labels()) / (model.lam * model.n)
+    V = _scores_from_gram(K_gram, coeffs).reshape(-1, task.embed_dim)
     nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, task.certify_eta)[1]
-    return float(np.mean(certified_gap(model.dual_mu, nu_bar, V, task)))
+    gaps = certified_gap(states.reshape(V.shape), nu_bar, V, task).reshape(states.shape[:2])
+    means = gaps.mean(axis=1)
+    return float(means[0]) if mu.ndim == 2 else means
 
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
@@ -133,26 +154,33 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         task=task, kernel=kernel, xs=xs, ys=ys, lam=cfg.lam,
         dual_mu=mu, kernel_coeffs=coeffs,
     )
-    report = TrainReport()
 
     rng = np.random.default_rng(cfg.seed)
     # last saddle iterates (mu, nu) of each example, uniform until visited
     warm = np.tile(task.uniform_state(), (n, 2, 1)) if cfg.warm_start else None
+    # certified after training: each pass's dual state, and each block
+    # update's scores and averaged saddle iterates (m4n only)
+    shape = (cfg.passes, n, task.embed_dim)
+    mu_passes = np.empty(shape)
+    if method == "m4n":
+        block_v, block_mu, block_nu = np.empty(shape), np.empty(shape), np.empty(shape)
+    dual_objs, walls = [], []
 
     t = 0
     t0 = time.perf_counter()
     for p in range(cfg.passes):
-        pass_gaps = []
-        for _ in range(n):
+        for b in range(n):
             i = int(rng.integers(n))
             v_i = _scores_from_gram(K_gram[i], coeffs)
             if method == "m4n":
                 init = warm[i] if warm is not None else None
-                res = spmp_solve(v_i, task, init=init, K=cfg.spmp_iters)
-                direction = res.mu_bar
-                pass_gaps.append(res.gap)
+                mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
+                    v_i, task, cfg.spmp_iters, None, init
+                )
+                block_v[p, b], block_mu[p, b], block_nu[p, b] = v_i, mu_bar[0], nu_bar[0]
+                direction = mu_bar[0]
                 if warm is not None:
-                    warm[i] = res.mu_last, res.nu_last
+                    warm[i] = mu_last[0], nu_last[0]
             else:
                 y_aug = task.decode(task.apply_loss_matrix(Phi[i]) + v_i)
                 direction = task.embed(y_aug)
@@ -160,22 +188,33 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             mu[i] = (1.0 - gamma) * mu[i] + gamma * direction
             coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
             t += 1
+        walls.append(time.perf_counter() - t0)
+        mu_passes[p] = mu
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
         bayes = -task.max_oracle(-task.apply_loss_matrix(mu))
-        dual_obj = float(np.mean(bayes)) - 0.5 * cfg.lam * w_sq
-        gap = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters)
+        dual_objs.append(float(np.mean(bayes)) - 0.5 * cfg.lam * w_sq)
+
+    gaps = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes)
+    for p, gap in enumerate(gaps):
+        if gap < -1e-6:
+            raise RuntimeError(f"negative dual gap {float(gap)} at pass {p + 1}")
+    if method == "m4n":
+        rows = (a.reshape(-1, task.embed_dim) for a in (block_mu, block_nu, block_v))
+        oracle_gaps = certified_gap(*rows, task).reshape(cfg.passes, n).mean(axis=1)
+    else:
+        oracle_gaps = np.zeros(cfg.passes)
+    report = TrainReport()
+    for p in range(cfg.passes):
         report.records.append(
             {
                 "pass": p + 1,
-                "dual_objective": dual_obj,
-                "primal_upper": dual_obj + gap,
-                "dual_gap": gap,
-                "mean_oracle_gap": float(np.mean(pass_gaps)) if pass_gaps else 0.0,
-                "wall_s": time.perf_counter() - t0,
+                "dual_objective": dual_objs[p],
+                "primal_upper": dual_objs[p] + float(gaps[p]),
+                "dual_gap": float(gaps[p]),
+                "mean_oracle_gap": float(oracle_gaps[p]),
+                "wall_s": walls[p],
             }
         )
-        if gap < -1e-6:
-            raise RuntimeError(f"negative dual gap {gap} at pass {p + 1}")
     return model, report
 
 

@@ -31,11 +31,14 @@ def test_synth_bad_param_exits_2(tmp_path):
     assert res.exit_code == 2
     res = run(["synth", "--kind", "nothing", "--n", "10", "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
-    # parameters no task can take: the generator's task constructor rejects them
-    for kind, param in [("hmm", "M=0"), ("ranking", "M=0"), ("hmm", "R=1"), ("blobs", "k=1")]:
+    # parameters no task can take, sizes that are not integers among them:
+    # the generator's task constructor rejects them
+    for kind, param in [("hmm", "M=0"), ("ranking", "M=0"), ("hmm", "R=1"), ("blobs", "k=1"),
+                        ("blobs", "k=2.5"), ("hmm", "R=2.5"), ("ranking", "M=2.5")]:
         out = tmp_path / f"{kind}.txt"
         res = run(["synth", "--kind", kind, "--n", "5", "--param", param, "--out", str(out)])
         assert res.exit_code == 2, (kind, param)
+        assert "." not in param or "must be an integer" in res.output, res.output
         assert not out.exists() and not (tmp_path / f"{kind}.txt.bayes.json").exists()
 
 

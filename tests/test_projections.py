@@ -69,6 +69,7 @@ def test_simplex_closed_form_update():
 
 def test_simplex_matches_numeric_bregman_minimizer():
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(500):
         k = int(rng.integers(2, 6))
         mu_prev = rng.dirichlet(np.ones(k))
@@ -76,16 +77,20 @@ def test_simplex_matches_numeric_bregman_minimizer():
         mu_prev /= mu_prev.sum()
         grad = rng.normal(size=k)
         eta = float(rng.uniform(0.1, 2.0))
-        out = project(MulticlassTask(k), mu_prev, grad, eta)
-        f_out = bregman_objective(out, mu_prev, grad, eta)
-        # projected gradient descent on the same objective
-        x = np.full(k, 1.0 / k)
+        cases.append((k, mu_prev, grad, eta))
+    for k in sorted({c[0] for c in cases}):
+        group = [c[1:] for c in cases if c[0] == k]
+        mu_prev, grad, eta = (np.array(a) for a in zip(*group))
+        # projected gradient descent on the same objective, all cases of one k at once
+        x = np.full(mu_prev.shape, 1.0 / k)
         for _ in range(4000):
-            g = eta * grad - (np.log(x) - np.log(mu_prev))
+            g = eta[:, None] * grad - (np.log(x) - np.log(mu_prev))
             x = x * np.exp(0.2 * g)
-            x /= x.sum()
-        f_ref = bregman_objective(x, mu_prev, grad, eta)
-        assert f_out <= f_ref + 1e-6
+            x /= x.sum(axis=1, keepdims=True)
+        for row, (m, gr, e) in enumerate(group):
+            out = project(MulticlassTask(k), m, gr, e)
+            f_ref = bregman_objective(x[row], m, gr, e)
+            assert bregman_objective(out, m, gr, e) <= f_ref + 1e-6
 
 
 def test_simplex_rejects_nonfinite_gradient():

@@ -223,6 +223,16 @@ def test_make_task_dispatch():
         make_task("nope")
 
 
+def test_task_sizes_must_be_integers():
+    for make in (lambda x: MulticlassTask(x), lambda x: OrdinalTask(x), lambda x: ChainTask(x, 2),
+                 lambda x: ChainTask(2, x), lambda x: RankingTask(x)):
+        for bad in (2.5, 3.0, "3", True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(bad)
+        # numpy integers are sizes too
+        assert make(np.int64(3)).embed_dim == make(3).embed_dim
+
+
 @pytest.mark.parametrize("cls, args, kind", [
     (MulticlassTask, (3,), "multiclass"), (OrdinalTask, (3,), "ordinal"),
     (ChainTask, (2, 2), "chain"), (RankingTask, (3,), "ranking"),

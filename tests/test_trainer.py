@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from maxminsp import trainer
 from maxminsp.datasets import synth_blobs, synth_hmm
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
-from maxminsp.oracle import spmp_solve
+from maxminsp.oracle import certified_gap, spmp_solve
 from maxminsp.tasks import ChainTask, MulticlassTask
 from maxminsp.trainer import (
     DualModel,
@@ -217,3 +219,100 @@ def test_chain_dual_gap_matches_per_example_solves():
         per_example.append(upper - held)
     gap = dual_gap(model, K_gram=K_gram, oracle_iters=60)
     assert abs(gap - float(np.mean(per_example))) < 1e-12
+
+
+def _certified_setups():
+    """(data, task, config) of a seeded simplex and chain training, 3 passes each."""
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=(12, 2))
+    ys = [int(rng.integers(1, 4)) for _ in range(12)]
+    simplex = ((xs, ys), MulticlassTask(k=3),
+               TrainConfig(passes=3, lam=0.1, spmp_iters=10, gap_oracle_iters=50, seed=2,
+                           kernel=KernelSpec("gaussian", gamma=0.5)))
+    data, task, kernel = hmm_chain_setup(n=6)
+    chain = (data, task, TrainConfig(passes=3, lam=0.1, spmp_iters=10, gap_oracle_iters=50,
+                                     seed=0, kernel=kernel))
+    return [simplex, chain]
+
+
+def _without_wall(records):
+    return [{k: v for k, v in r.items() if k != "wall_s"} for r in records]
+
+
+@pytest.mark.parametrize("train", [gbcfw_train, m3n_train])
+@pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
+def test_records_of_fewer_passes_are_a_prefix(train, setup):
+    # certifying all passes after training must give each pass the record it
+    # would get as the last pass of a shorter training
+    data, task, cfg = _certified_setups()[setup]
+    _, full = train(data, task, cfg)
+    for p in range(1, cfg.passes):
+        _, short = train(data, task, dataclasses.replace(cfg, passes=p))
+        assert _without_wall(short.records) == _without_wall(full.records[:p])
+
+
+@pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
+def test_stacked_dual_gap_equals_one_state_calls(setup):
+    data, task, cfg = _certified_setups()[setup]
+    models = [gbcfw_train(data, task, dataclasses.replace(cfg, passes=p))[0] for p in (1, 2, 3)]
+    model = models[-1]
+    K_gram = gram(model.xs, model.kernel)
+    states = np.stack([m.dual_mu for m in models])
+    stacked = dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=states)
+    one_by_one = [dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=s) for s in states]
+    assert stacked.shape == (3,) and list(stacked) == one_by_one
+    # a state's gap is that of the model holding it, the default state
+    assert one_by_one == [dual_gap(m, K_gram=K_gram, oracle_iters=50) for m in models]
+    assert len(set(one_by_one)) == 3
+
+
+@pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
+def test_mean_oracle_gap_averages_block_certificates(monkeypatch, setup):
+    # each pass's mean_oracle_gap is the mean certified gap of its block
+    # updates' averaged iterates, each certified on its own
+    data, task, cfg = _certified_setups()[setup]
+    solves = []
+    engine = trainer.spmp_solve_batch_simplex
+
+    def recording(V, *args):
+        out = engine(V, *args)
+        solves.append((V, out))
+        return out
+
+    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", recording)
+    _, report = gbcfw_train(data, task, cfg)
+    n = len(data[1])
+    block = [float(certified_gap(mu_bar, nu_bar, V, task)[0]) for V, (mu_bar, nu_bar, _, _) in solves[:-1]]
+    assert len(block) == cfg.passes * n
+    for p, rec in enumerate(report.records):
+        assert rec["mean_oracle_gap"] == pytest.approx(np.mean(block[p * n:(p + 1) * n]), rel=1e-12)
+
+
+@pytest.mark.parametrize("train, engine_calls, gap_calls", [
+    (gbcfw_train, lambda passes, n: passes * n + 1, 2),
+    (m3n_train, lambda passes, n: 1, 1),
+])
+def test_training_certifies_once(monkeypatch, train, engine_calls, gap_calls):
+    # one engine call per block update plus one for every pass's dual gap;
+    # one certified_gap call for the dual gaps and one for the block gaps
+    calls = {"engine": 0, "gap": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex",
+                        counting("engine", trainer.spmp_solve_batch_simplex))
+    monkeypatch.setattr(trainer, "certified_gap", counting("gap", trainer.certified_gap))
+    data, task, cfg = _certified_setups()[0]
+    train(data, task, cfg)
+    assert calls == {"engine": engine_calls(cfg.passes, len(data[1])), "gap": gap_calls}
+
+
+def test_negative_dual_gap_names_first_pass(monkeypatch):
+    monkeypatch.setattr(trainer, "dual_gap", lambda *a, **k: np.array([0.5, -1.0, -2.0]))
+    data, task, cfg = _certified_setups()[0]
+    with pytest.raises(RuntimeError, match="negative dual gap -1.0 at pass 2"):
+        gbcfw_train(data, task, cfg)
