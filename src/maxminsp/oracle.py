@@ -8,9 +8,10 @@ every caller enters through it: it solves a (B, dim) stack of score
 vectors at once, and since both players live on the same polytope it keeps
 them as one C-contiguous (dim, 2B) column stack, so each half-step is one
 apply-A and one projection call, and the projection kernels reduce over
-leading axes.  The engine transposes the scores once on entry and splits
-its results into (B, dim) player stacks on return, so the column stack
-never leaves it.  The polytope enters only through the task: its
+leading axes.  The projections pass log-iterates on, so the engine takes
+one log per call.  It transposes the scores once on entry and splits its
+results, in probabilities, into (B, dim) player stacks on return, so the
+column stack never leaves it.  The polytope enters only through the task: its
 `project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`.
 `spmp_solve` is one engine call on one vector plus its certificate.  The
 trainer calls the engine itself, once per block update, and certifies a
@@ -73,11 +74,12 @@ def spmp_solve_batch_simplex(
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
     The iterate is one C-contiguous (dim, 2B) column stack X: columns :B
-    are the max players mu, columns B: the min players nu.  A is applied
+    are the max players mu, columns B: the min players nu.  Each projection
+    steps from the log-iterate L and returns the next L with X.  A is applied
     through the task's row API on the transposed view X.T.  A round takes
     a half-step from X with the gradient at X and a full step from X with
     the gradient at the half-step point; the half-step points are averaged.  The default eta
-    is 1/(2 L) for the task's smoothness constant; the projection rate is
+    is 1/(2 l_spmp) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
     or B rows each; it is floored and checked against the polytope.
@@ -106,6 +108,7 @@ def spmp_solve_batch_simplex(
             raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
         task.check_state(X)
         X = X.T.copy()
+    L = np.log(X)
 
     # one gradient buffer: each projection reads it before the next grad call
     G = np.empty_like(X)
@@ -120,8 +123,8 @@ def spmp_solve_batch_simplex(
     X_sum = np.zeros_like(X)
     for it in range(K):
         try:
-            X_half = proj(X, grad(X), rate)
-            X = proj(X, grad(X_half), rate)
+            L_half, X_half = proj(L, grad(X), rate)
+            L, X = proj(L, grad(X_half), rate)
         except SinkhornConvergenceError as exc:
             player = "max" if exc.row < B else "min"
             raise RuntimeError(

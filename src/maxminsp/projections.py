@@ -12,8 +12,13 @@ the gradient stack, independently of the other columns.  Every reduction
 then runs over a leading axis and every log and exp over a contiguous
 array.  The kernels take arrays and shape integers only; each task's
 `project_stack` picks its kernel, unchecked, for the solver engine, which
-keeps its iterates inside the polytope as column stacks.  `project` is
-the one checked entry for every task: it takes one vector or a (B, dim)
+keeps its iterates inside the polytope as column stacks.  The kernels
+work in the log domain: each takes the log-iterate L, up to a constant per
+column (per block on chains) that cancels, and returns the next L with
+its normalized probabilities, so no kernel takes the log of the iterate
+it is handed.  PROB_FLOOR is a floor on the log, L >= log(PROB_FLOOR),
+which keeps exp off its subnormal range.  `project` is the one checked
+entry for every task, in probabilities: it takes one vector or a (B, dim)
 row stack; `project_birkhoff_sinkhorn` also takes Sinkhorn's tol and sweep
 cap, whose defaults the engine uses.
 """
@@ -36,9 +41,10 @@ __all__ = [
     "PROB_FLOOR",
 ]
 
-# interior floor applied after every projection; keeps logs finite while
-# perturbing results far below test tolerances
+# floor on every log-iterate, L >= log(PROB_FLOOR): keeps exp off its slow
+# subnormal path while perturbing results far below test tolerances
 PROB_FLOOR = 1e-12
+_LOG_FLOOR = math.log(PROB_FLOOR)
 
 SINKHORN_TOL = 1e-9
 # one cap for every caller: near-vertex iterates slow Sinkhorn's linear rate
@@ -65,40 +71,40 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stack kernels: P >= PROB_FLOOR and G finite are the caller's to ensure
+# stack kernels: L >= log(PROB_FLOOR) and G finite are the caller's to ensure
 
 
-def _softmax_stack(P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-    """Exponentiated-gradient step per column: proportional to P * exp(eta*G)."""
-    Z = np.log(P) + eta * G
+def _softmax_stack(L: np.ndarray, G: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentiated-gradient step per column: proportional to exp(L + eta*G)."""
+    Z = eta * G
+    Z += L  # in place: one temporary fewer than L + eta * G
     Z -= Z.max(axis=0)
-    Q = np.exp(Z)
-    Q /= Q.sum(axis=0)
-    return np.maximum(Q, PROB_FLOOR, out=Q)
+    np.maximum(Z, _LOG_FLOOR, out=Z)
+    P = np.exp(Z)
+    P /= P.sum(axis=0)
+    return Z, P
 
 
-def _chain_stack(P: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> np.ndarray:
+def _chain_stack(L: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> tuple:
     """Exact Bregman projection under the junction-tree chain entropy, per column.
 
     H(mu) = sum_m H_S(mu_{m,m+1}) - sum_{interior m} H_S(mu_m); the
     projection equals marginal inference on a chain with log-potentials
-    assembled from log(P) and eta*G, computed by sum-product in the log
-    domain for all columns at once.  A column holds M unary blocks of R
-    followed by M-1 pairwise blocks of R*R, viewed here as (M, R, B) and
-    (M-1, R, R, B) arrays.
+    assembled from L and eta*G, computed by sum-product in the log domain
+    for all columns at once; the next L holds the log-marginals.  A column
+    holds M unary blocks of R followed by M-1 pairwise blocks of R*R,
+    viewed here as (M, R, B) and (M-1, R, R, B) arrays.
     """
     U = M * R
-    B = P.shape[1]
+    B = L.shape[1]
     if M == 1:
-        return _softmax_stack(P, G, eta)
-    pu = P[:U].reshape(M, R, B)
-    pp = P[U:].reshape(M - 1, R, R, B)
+        return _softmax_stack(L, G, eta)
 
-    # theta follows from the gradient of the junction-tree entropy at P:
-    # pairwise blocks carry +log, interior unaries carry -log
+    # theta follows from the gradient of the junction-tree entropy at the
+    # iterate: pairwise blocks carry +log, interior unaries carry -log
     theta_u = eta * G[:U].reshape(M, R, B)
-    theta_u[1:-1] -= np.log(pu[1:-1])
-    theta_p = eta * G[U:].reshape(M - 1, R, R, B) + np.log(pp)
+    theta_u[1:-1] -= L[:U].reshape(M, R, B)[1:-1]
+    theta_p = eta * G[U:].reshape(M - 1, R, R, B) + L[U:].reshape(M - 1, R, R, B)
 
     # forward/backward messages (log domain); the backward pass sums over
     # y_{m+1}, the leading axis of the transposed pairwise view
@@ -112,22 +118,25 @@ def _chain_stack(P: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> np
         beta[m] = _logsumexp(theta_pt[m] + (theta_u[m + 1] + beta[m + 1])[:, None])
     log_z = _logsumexp(alpha[-1])
 
-    out_u = np.exp(alpha + beta - log_z)
-    out_u /= out_u.sum(axis=1)[:, None]
     after = theta_u[1:] + beta[1:]
-    out_p = np.exp(alpha[:-1, :, None] + theta_p + after[:, None] - log_z).reshape(M - 1, R * R, B)
+    log_p = alpha[:-1, :, None] + theta_p + after[:, None] - log_z
+    L_new = np.concatenate([(alpha + beta - log_z).reshape(U, B), log_p.reshape(-1, B)])
+    np.maximum(L_new, _LOG_FLOOR, out=L_new)
+    P = np.exp(L_new)
+    out_u = P[:U].reshape(M, R, B)
+    out_u /= out_u.sum(axis=1)[:, None]
+    out_p = P[U:].reshape(M - 1, R * R, B)
     out_p /= out_p.sum(axis=1)[:, None]
-    out = np.concatenate([out_u.reshape(U, B), out_p.reshape(-1, B)])
-    return np.maximum(out, PROB_FLOOR, out=out)
+    return L_new, P
 
 
 def _sinkhorn_stack(
-    P: np.ndarray,
+    L: np.ndarray,
     G: np.ndarray,
     eta: float,
     tol: float = SINKHORN_TOL,
     max_iter: int = SINKHORN_MAX_ITER,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sinkhorn-Knopp projection under the entry-wise entropy, per column.
 
     A column is an M x M matrix, row-major, viewed here as an (M, M, B)
@@ -136,9 +145,9 @@ def _sinkhorn_stack(
     above 10*tol after max_iter sweeps raise SinkhornConvergenceError,
     which names the worst column as its `row`.
     """
-    B = P.shape[1]
-    M = math.isqrt(P.shape[0])
-    logK = np.log(P) + eta * G
+    B = L.shape[1]
+    M = math.isqrt(L.shape[0])
+    logK = L + eta * G
     logK -= logK.max(axis=0)
     K = np.exp(logK).reshape(M, M, B)
 
@@ -165,25 +174,25 @@ def _sinkhorn_stack(
         worst = int(np.argmax(residual))
         if residual[worst] > 10 * tol:
             raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
-    out = K.reshape(M * M, B)
-    return np.maximum(out, PROB_FLOOR, out=out)
+    P = np.maximum(K.reshape(M * M, B), PROB_FLOOR)
+    return np.log(P), P
 
 
 def _columns(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column stacks of a point and a gradient given as one vector or rows.
+    """Column stacks of a point's log and a gradient given as one vector or rows.
 
-    P is floored; G is rejected unless finite.
+    P is floored before its log; G is rejected unless finite.
     """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if not np.all(np.isfinite(G)):
         raise LayoutError("non-finite gradient")
     P = np.maximum(np.atleast_2d(np.asarray(P, dtype=float)), PROB_FLOOR)
-    return np.ascontiguousarray(P.T), np.ascontiguousarray(G.T)
+    return np.log(np.ascontiguousarray(P.T)), np.ascontiguousarray(G.T)
 
 
 def project(task: Task, mu_prev: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
     """Bregman projection of one point, or of each row of a stack, onto the task's polytope."""
-    out = task.project_stack(*_columns(mu_prev, grad), eta).T
+    out = task.project_stack(*_columns(mu_prev, grad), eta)[1].T
     return out if np.ndim(mu_prev) > 1 else out[0]
 
 
@@ -195,4 +204,4 @@ def project_birkhoff_sinkhorn(
     max_iter: int = SINKHORN_MAX_ITER,
 ) -> np.ndarray:
     """Sinkhorn-Knopp projection of one point under the entry-wise entropy."""
-    return _sinkhorn_stack(*_columns(mu_prev, grad), eta, tol, max_iter)[:, 0]
+    return _sinkhorn_stack(*_columns(mu_prev, grad), eta, tol, max_iter)[1][:, 0]

@@ -9,9 +9,10 @@ reported.
 
 Each task also owns its marginal polytope: the stack projection under the
 polytope's entropy and the constants that set the saddle solver's step.
-`project_stack` serves the solver engine and takes (dim, B) column stacks;
-the other methods on points and scores take one vector or a (B, dim) stack
-of rows, and `check_state` checks a whole stack at once.
+`project_stack` serves the solver engine and takes and returns (dim, B)
+column stacks of log-iterates, floored at log(PROB_FLOOR); the other methods
+on points and scores take one vector or a (B, dim) stack of rows, in
+probabilities, and `check_state` checks a whole stack at once.
 
 Decoding and the max oracle run on stacks of scores.  `decode` takes one
 score vector and returns one label, or a (B, k) stack and returns a list of
@@ -179,11 +180,13 @@ class Task:
             raise LayoutError(f"expected dim {self.embed_dim}, got {mu.shape}")
         return mu.reshape(-1, self.embed_dim)
 
-    def project_stack(self, P: np.ndarray, G: np.ndarray, eta: float) -> np.ndarray:
-        """Bregman projection of each column of P along the column of G, unchecked.
+    def project_stack(self, L: np.ndarray, G: np.ndarray, eta: float) -> tuple:
+        """Bregman projection of each column of log-iterates L along G, unchecked.
 
-        P and G are C-contiguous (embed_dim, B) column stacks; P must be at
-        or above PROB_FLOOR and G finite.  Returns a (embed_dim, B) stack.
+        L and G are C-contiguous (embed_dim, B) column stacks; L must be at or
+        above log(PROB_FLOOR), up to a constant per column (per block on
+        chains) that cancels, and G finite.  Returns (L_new, P_new): the next
+        L, floored the same way, and its normalized probabilities.
         """
         raise NotImplementedError
 
@@ -272,8 +275,8 @@ class SimplexTask(Task):
         if (mu < -1e-12).any() or (abs(mu.sum(axis=-1) - 1.0) > 1e-9).any():
             raise LayoutError("not a probability vector")
 
-    def project_stack(self, P, G, eta):
-        return _softmax_stack(P, G, eta)
+    def project_stack(self, L, G, eta):
+        return _softmax_stack(L, G, eta)
 
 
 @dataclass(frozen=True)
@@ -344,6 +347,11 @@ class ChainTask(Task):
         """Per-position 0-1 loss matrix (unnormalized)."""
         return 1.0 - np.eye(self.R)
 
+    @cached_property
+    def loss_block(self) -> np.ndarray:
+        """The per-position block (J - I)/M of A, built once per task and read-only."""
+        return _read_only(self.part_loss_matrix() / self.M)
+
     @property
     def diameter_sq(self) -> float:
         return 4.0 * self.M - 2.0
@@ -397,7 +405,7 @@ class ChainTask(Task):
 
     def apply_loss_matrix(self, mu):
         mu = np.asarray(mu, dtype=float)
-        L = self.part_loss_matrix() / self.M
+        L = self.loss_block
         out = np.zeros_like(mu)
         # L symmetric; per-position product on the unary blocks, taken on
         # the transposed view, where a column stack's blocks are contiguous
@@ -463,8 +471,8 @@ class ChainTask(Task):
             if np.any(np.abs(p[:, m].sum(axis=1) - u[:, m + 1]) > 1e-8):
                 raise LayoutError(f"pairwise block {m} inconsistent with unary {m + 1}")
 
-    def project_stack(self, P, G, eta):
-        return _chain_stack(P, G, eta, self.M, self.R)
+    def project_stack(self, L, G, eta):
+        return _chain_stack(L, G, eta, self.M, self.R)
 
 
 @dataclass(frozen=True)
@@ -574,8 +582,8 @@ class RankingTask(Task):
         if np.any(np.abs(Q.sum(axis=1) - 1.0) > 1e-6):
             raise LayoutError("column sums deviate from 1")
 
-    def project_stack(self, P, G, eta):
-        return _sinkhorn_stack(P, G, eta)
+    def project_stack(self, L, G, eta):
+        return _sinkhorn_stack(L, G, eta)
 
 
 def make_task(kind: str, **params) -> Task:

@@ -44,6 +44,14 @@ def test_multiclass_shortcuts_match_loss_matrix():
     assert abs(t.loss_norm - np.linalg.norm(t.loss_matrix, 2)) < 1e-12
 
 
+def test_chain_loss_block_is_cached_and_read_only():
+    # every apply_loss_matrix call shares one block, equal to the one it once rebuilt
+    t = ChainTask(M=4, R=3)
+    assert t.loss_block is t.loss_block
+    assert not t.loss_block.flags.writeable
+    assert np.array_equal(t.loss_block, t.part_loss_matrix() / t.M)
+
+
 def test_multiclass_embed_roundtrip():
     # decoding a vertex's own embedding returns its label, on every task
     for t in (MulticlassTask(k=5), OrdinalTask(k=4), ChainTask(M=3, R=2), RankingTask(M=4)):
