@@ -42,9 +42,8 @@ def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> np.ndar
     scores and mu are one vector each or (B, k) stacks; returns B values.
     """
     S, Mu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (scores, mu))
-    a_mu = task.apply_loss_matrix(Mu)
     decoded = np.stack([task.embed(y) for y in task.decode(S)])
-    return np.einsum("ij,ij->i", decoded, a_mu) + task.max_oracle(-a_mu)
+    return np.einsum("ij,ij->i", decoded, task.apply_loss_matrix(Mu)) - task.bayes_risk(Mu)
 
 
 def zeta_bruteforce(
@@ -68,7 +67,7 @@ def zeta_bruteforce(
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
     oracle solve, with the task's certification step when it has one, then
-    one max-oracle call per inner minimum covers every search row.
+    one `bayes_risk` call per inner minimum covers every search row.
     """
     if task.n_labels() > 6:
         raise ValueError("output space too large for brute-force calibration")
@@ -86,7 +85,7 @@ def zeta_bruteforce(
 
     def inner_min(Mu):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
-        return np.einsum("ij,ij->i", V, Mu) - task.max_oracle(-task.apply_loss_matrix(Mu))
+        return np.einsum("ij,ij->i", V, Mu) + task.bayes_risk(Mu)
 
     ds = inner_min(mu_bars) - inner_min(Mus)
     dl = _excess_task_risk(task, V, Mus)

@@ -1,14 +1,14 @@
 """Dataset file formats and synthetic generators with known Bayes predictors.
 
 Formats:
-  - tabular (multiclass/ordinal): CSV with header feature_0..feature_{d-1},
-    label; labels are 1-based integers.
+  - CSV (multiclass/ordinal/ranking): header feature_0..feature_{d-1} and
+    then the label columns, one example per line.  Multiclass and ordinal
+    files have one `label` column of 1-based integers; ranking files have
+    rank_1..rank_M, a permutation of 1..M.
   - sequence: one example per line, seq_id<TAB>labels<TAB>features, where
     labels is a digit string (alphabet size <= 9) or letters a..z, and
     features holds one comma-separated float block per position, blocks
     separated by '|'.
-  - ranking: CSV with feature_* columns followed by rank_1..rank_M
-    permutation columns.
 Feature values must be finite in every format.
 
 Generators write a `<path>.bayes.json` sidecar with per-example Bayes
@@ -78,36 +78,45 @@ def _features(cells, path, no) -> list[float]:
     return values
 
 
-def _parse_tabular(path: Path, kind: str) -> Dataset:
+def _label_columns(kind: str, M: int) -> list[str]:
+    """The label columns of a CSV file: rank_1..rank_M for rankings, else `label`."""
+    return [f"rank_{j + 1}" for j in range(M)] if kind == "ranking" else ["label"]
+
+
+def _parse_csv(path: Path, kind: str) -> Dataset:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise DatasetFormatError(path, 1, "empty file")
     header = lines[0].split(",")
-    if header[-1] != "label" or any(
-        h != f"feature_{i}" for i, h in enumerate(header[:-1])
-    ):
-        raise DatasetFormatError(path, 1, "expected header feature_0,...,label")
-    d = len(header) - 1
+    d = next((i for i, h in enumerate(header) if h != f"feature_{i}"), len(header))
+    M = len(header) - d
+    if M < 1 or header[d:] != _label_columns(kind, M):
+        label = "rank_1..rank_M" if kind == "ranking" else "label"
+        raise DatasetFormatError(path, 1, f"expected header feature_0,...,{label}")
     xs, ys = [], []
     for no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         cells = ln.split(",")
-        if len(cells) != d + 1:
-            raise DatasetFormatError(path, no, f"expected {d + 1} columns, got {len(cells)}")
-        xs.append(_features(cells[:-1], path, no))
+        if len(cells) != d + M:
+            raise DatasetFormatError(path, no, f"expected {d + M} columns, got {len(cells)}")
+        xs.append(_features(cells[:d], path, no))
         try:
-            y = int(cells[-1])
-        except ValueError:
-            raise DatasetFormatError(path, no, f"bad label {cells[-1]!r}") from None
-        if y < 1:
-            raise DatasetFormatError(path, no, f"labels are 1-based, got {y}")
+            y = tuple(int(c) for c in cells[d:])
+        except ValueError as exc:
+            raise DatasetFormatError(path, no, f"bad label: {exc}") from None
+        if kind != "ranking":
+            y = y[0]
+            if y < 1:
+                raise DatasetFormatError(path, no, f"labels are 1-based, got {y}")
+        elif sorted(y) != list(range(1, M + 1)):
+            raise DatasetFormatError(path, no, f"{y!r} is not a permutation of 1..{M}")
         ys.append(y)
     if not ys:
         raise DatasetFormatError(path, 1, "no data rows")
-    k = max(ys)
-    return Dataset(np.array(xs), ys, kind, {"k": k})
+    params = {"M": M} if kind == "ranking" else {"k": max(ys)}
+    return Dataset(np.array(xs), ys, kind, params)
 
 
 def _label_to_symbols(label: str, path, no) -> tuple[int, ...]:
@@ -160,59 +169,28 @@ def _parse_sequence(path: Path) -> Dataset:
     return Dataset(np.array(xs), ys, "chain", {"M": M, "R": R})
 
 
-def _parse_ranking(path: Path) -> Dataset:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise DatasetFormatError(path, 1, "empty file")
-    header = lines[0].split(",")
-    d = sum(1 for h in header if h.startswith("feature_"))
-    M = sum(1 for h in header if h.startswith("rank_"))
-    expected = [f"feature_{i}" for i in range(d)] + [f"rank_{j + 1}" for j in range(M)]
-    if header != expected or M < 1:
-        raise DatasetFormatError(path, 1, "expected header feature_0..,rank_1..rank_M")
-    xs, ys = [], []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        cells = ln.split(",")
-        if len(cells) != d + M:
-            raise DatasetFormatError(path, no, f"expected {d + M} columns, got {len(cells)}")
-        xs.append(_features(cells[:d], path, no))
-        try:
-            y = tuple(int(c) for c in cells[d:])
-        except ValueError as exc:
-            raise DatasetFormatError(path, no, f"bad rank value: {exc}") from None
-        if sorted(y) != list(range(1, M + 1)):
-            raise DatasetFormatError(path, no, f"{y!r} is not a permutation of 1..{M}")
-        ys.append(y)
-    if not ys:
-        raise DatasetFormatError(path, 1, "no data rows")
-    return Dataset(np.array(xs), ys, "ranking", {"M": M})
-
-
 def load_dataset(path, task_kind: str) -> Dataset:
     """Parse a dataset file in the format of the given task family."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if task_kind in ("multiclass", "ordinal"):
-        return _parse_tabular(path, task_kind)
+    if task_kind in ("multiclass", "ordinal", "ranking"):
+        return _parse_csv(path, task_kind)
     if task_kind == "chain":
         return _parse_sequence(path)
-    if task_kind == "ranking":
-        return _parse_ranking(path)
     raise ValueError(f"unknown task kind {task_kind!r}")
 
 
 def save_dataset(ds: Dataset, path) -> None:
     path = Path(path)
-    if ds.task_kind in ("multiclass", "ordinal"):
+    if ds.task_kind in ("multiclass", "ordinal", "ranking"):
         d = ds.xs.shape[1]
+        labels = _label_columns(ds.task_kind, ds.task_params.get("M", 0))
         with open(path, "w") as fh:
-            fh.write(",".join([f"feature_{i}" for i in range(d)] + ["label"]) + "\n")
+            fh.write(",".join([f"feature_{i}" for i in range(d)] + labels) + "\n")
             for x, y in zip(ds.xs, ds.ys):
-                fh.write(",".join(f"{v:.10g}" for v in x) + f",{y}\n")
+                cells = [f"{v:.10g}" for v in x] + [str(c) for c in np.atleast_1d(y)]
+                fh.write(",".join(cells) + "\n")
     elif ds.task_kind == "chain":
         M, R = ds.task_params["M"], ds.task_params["R"]
         d = ds.xs.shape[1] // M
@@ -222,13 +200,6 @@ def save_dataset(ds: Dataset, path) -> None:
                     ",".join(f"{v:.10g}" for v in x[m * d:(m + 1) * d]) for m in range(M)
                 )
                 fh.write(f"seq{i}\t{_symbols_to_label(y, R)}\t{blocks}\n")
-    elif ds.task_kind == "ranking":
-        d = ds.xs.shape[1]
-        M = ds.task_params["M"]
-        with open(path, "w") as fh:
-            fh.write(",".join([f"feature_{i}" for i in range(d)] + [f"rank_{j + 1}" for j in range(M)]) + "\n")
-            for x, y in zip(ds.xs, ds.ys):
-                fh.write(",".join(f"{v:.10g}" for v in x) + "," + ",".join(str(c) for c in y) + "\n")
     else:
         raise ValueError(f"unknown task kind {ds.task_kind!r}")
 

@@ -15,6 +15,10 @@ from scipy.spatial.distance import cdist
 
 __all__ = ["KernelSpec", "gram", "cross_gram", "median_heuristic"]
 
+# the median heuristic looks at a subsample of this many points, drawn with this seed
+_MEDIAN_MAX_POINTS = 1000
+_MEDIAN_SEED = 0
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -57,14 +61,14 @@ def gram(xs: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return K
 
 
-def median_heuristic(xs: np.ndarray, max_points: int = 1000, seed: int = 0) -> float:
+def median_heuristic(xs: np.ndarray) -> float:
     """gamma = 1 / median(pairwise squared distances) on a seeded subsample."""
     xs = _as_matrix(xs)
     if len(xs) < 2:
         raise ValueError("need at least 2 points for the median heuristic")
-    if len(xs) > max_points:
-        rng = np.random.default_rng(seed)
-        xs = xs[rng.choice(len(xs), size=max_points, replace=False)]
+    if len(xs) > _MEDIAN_MAX_POINTS:
+        rng = np.random.default_rng(_MEDIAN_SEED)
+        xs = xs[rng.choice(len(xs), size=_MEDIAN_MAX_POINTS, replace=False)]
     d2 = cdist(xs, xs, "sqeuclidean")
     vals = d2[np.triu_indices_from(d2, k=1)]
     med = float(np.median(vals))

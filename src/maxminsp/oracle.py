@@ -1,11 +1,11 @@
 """Saddle-point mirror prox for the max-min oracle.
 
 Solves  max_{mu in M} min_{nu in M}  nu^T A mu + v^T mu  by extra-gradient
-mirror steps and certifies the duality gap exactly with two calls to the
-task's max oracle (`certified_gap`, over one vector or a stack).  One
-engine, `spmp_solve_batch_simplex`, serves every task and batch size, and
-every caller enters through it: it solves a (B, dim) stack of score
-vectors at once, and since both players live on the same polytope it keeps
+mirror steps and certifies the duality gap exactly with one call each to
+the task's max oracle and Bayes term (`certified_gap`, over one vector or
+a stack).  One engine, `spmp_solve_batch_simplex`, serves every task and
+batch size, and every caller enters through it: it solves a (B, dim) stack
+of score vectors at once, and since both players live on the same polytope it keeps
 them as one C-contiguous (dim, 2B) column stack, so each half-step is one
 apply-A and one projection call, and the projection kernels reduce over
 leading axes.  The projections pass log-iterates on, so the engine takes
@@ -52,15 +52,16 @@ class OracleResult:
 def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> np.ndarray:
     """Exact gaps  max_y F(nu, phi(y)) - min_y F(phi(y), mu), one per row.
 
-    F(nu, mu) = nu^T A mu + v^T mu; each side is one max-oracle call, at
-    A nu + v and at -A mu.  Loss offsets cancel.  mu, nu and v are one
-    vector each or (B, k) stacks; returns B gaps.
+    F(nu, mu) = nu^T A mu + v^T mu; the upper side is one max-oracle call
+    at A nu + v, the lower side v^T mu plus the task's centred Bayes term
+    `bayes_risk(mu)`.  Loss offsets cancel.  mu, nu and v are one vector
+    each or (B, k) stacks, mu and nu checked against the polytope; returns
+    B gaps.
     """
     mu, nu, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu, v))
-    task.check_state(mu)
     task.check_state(nu)
     upper = task.max_oracle(task.apply_loss_matrix(nu) + v)
-    lower = np.einsum("ij,ij->i", v, mu) - task.max_oracle(-task.apply_loss_matrix(mu))
+    lower = np.einsum("ij,ij->i", v, mu) + task.bayes_risk(mu)
     return upper - lower
 
 

@@ -19,7 +19,10 @@ score vector and returns one label, or a (B, k) stack and returns a list of
 B labels, the lowest label winning ties.  `max_oracle` returns
 max_y phi(y)^T s for each row of a stack, computed by each task without
 decoding; every certified gap and bound is built on it.  Both check the
-stack once and then call the task's unchecked kernels.
+stack once and then call the task's unchecked kernels.  `bayes_risk` is
+the stacked, centred Bayes term min_y phi(y)^T A mu, one value per row of
+a checked stack of points (add `offset` for the risk itself); every dual
+objective, certified gap and calibration estimate uses it.
 """
 
 from __future__ import annotations
@@ -97,9 +100,6 @@ class Task:
     def n_labels(self) -> int:
         raise NotImplementedError
 
-    def random_label(self, rng: np.random.Generator):
-        raise NotImplementedError
-
     # -- embedding -------------------------------------------------------
     def embed(self, y) -> np.ndarray:
         """Vertex phi(y) of the marginal polytope."""
@@ -152,13 +152,10 @@ class Task:
         """Max-oracle values of the rows of a checked score stack."""
         raise NotImplementedError
 
-    def bayes_risk(self, mu: np.ndarray) -> tuple[float, object]:
-        """min_y phi(y)^T A mu (plus offset) and a lowest-label minimizer."""
+    def bayes_risk(self, mu: np.ndarray) -> np.ndarray:
+        """min_y phi(y)^T A mu, without the offset, for each row of a checked point or stack."""
         self.check_state(mu)
-        scores = self.apply_loss_matrix(np.asarray(mu, dtype=float))
-        y = self.decode(-scores)
-        value = float(self.embed(y) @ scores) + self.offset
-        return value, y
+        return -self.max_oracle(-self.apply_loss_matrix(mu))
 
     # -- polytope --------------------------------------------------------
     def uniform_state(self) -> np.ndarray:
@@ -246,9 +243,6 @@ class SimplexTask(Task):
     def n_labels(self) -> int:
         return self.k
 
-    def random_label(self, rng):
-        return int(rng.integers(1, self.k + 1))
-
     def embed(self, y):
         self.check_label(y)
         e = np.zeros(self.k)
@@ -269,10 +263,8 @@ class SimplexTask(Task):
         return np.full(self.k, 1.0 / self.k)
 
     def check_state(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim not in (1, 2) or mu.shape[-1] != self.k:
-            raise LayoutError(f"simplex point of dim {self.k} expected")
-        if (mu < -1e-12).any() or (abs(mu.sum(axis=-1) - 1.0) > 1e-9).any():
+        mu = self._state_stack(mu)
+        if (mu < -1e-12).any() or (abs(mu.sum(axis=1) - 1.0) > 1e-9).any():
             raise LayoutError("not a probability vector")
 
     def project_stack(self, L, G, eta):
@@ -367,10 +359,11 @@ class ChainTask(Task):
         return lm_norm * self.diameter_sq * self.r2
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(M, R) unary view and (M-1, R, R) pairwise view of a layout vector."""
+        """(..., M, R) unary and (..., M-1, R, R) pairwise views of a layout vector or stack."""
         vec = np.asarray(vec, dtype=float)
-        u = vec[: self.unary_dim].reshape(self.M, self.R)
-        p = vec[self.unary_dim:].reshape(self.M - 1, self.R, self.R)
+        lead = vec.shape[:-1]
+        u = vec[..., : self.unary_dim].reshape(*lead, self.M, self.R)
+        p = vec[..., self.unary_dim:].reshape(*lead, self.M - 1, self.R, self.R)
         return u, p
 
     def join(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -389,9 +382,6 @@ class ChainTask(Task):
 
     def n_labels(self) -> int:
         return self.R ** self.M
-
-    def random_label(self, rng):
-        return tuple(int(c) for c in rng.integers(1, self.R + 1, size=self.M))
 
     def embed(self, y):
         self.check_label(y)
@@ -420,11 +410,9 @@ class ChainTask(Task):
         beta[b, m, r] is the best score of the suffix after position m
         given y_m = r+1.
         """
-        B, M, R = len(S), self.M, self.R
-        u = S[:, : self.unary_dim].reshape(B, M, R)
-        p = S[:, self.unary_dim:].reshape(B, M - 1, R, R)
-        beta = np.zeros((B, M, R))
-        for m in range(M - 2, -1, -1):
+        u, p = self.split(S)
+        beta = np.zeros(u.shape)
+        for m in range(self.M - 2, -1, -1):
             cont = p[:, m] + u[:, m + 1, None, :] + beta[:, m + 1, None, :]
             beta[:, m] = cont.max(axis=2)
         return u, p, beta
@@ -456,14 +444,12 @@ class ChainTask(Task):
 
     def check_state(self, mu):
         mu = self._state_stack(mu)
-        B, M, R = len(mu), self.M, self.R
-        u = mu[:, : self.unary_dim].reshape(B, M, R)
-        p = mu[:, self.unary_dim:].reshape(B, M - 1, R, R)
+        u, p = self.split(mu)
         if np.any(mu < -1e-12):
             raise LayoutError("negative marginals")
         if np.any(np.abs(u.sum(axis=2) - 1.0) > 1e-9):
             raise LayoutError("unary block does not sum to 1")
-        for m in range(M - 1):
+        for m in range(self.M - 1):
             if np.any(np.abs(p[:, m].sum(axis=(1, 2)) - 1.0) > 1e-9):
                 raise LayoutError(f"pairwise block {m} does not sum to 1")
             if np.any(np.abs(p[:, m].sum(axis=2) - u[:, m]) > 1e-8):
@@ -523,9 +509,6 @@ class RankingTask(Task):
 
     def n_labels(self) -> int:
         return math.factorial(self.M)
-
-    def random_label(self, rng):
-        return tuple(int(c) + 1 for c in rng.permutation(self.M))
 
     def embed(self, y):
         self.check_label(y)

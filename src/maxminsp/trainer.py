@@ -56,7 +56,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:  # also rejects nan
             raise ValueError("lambda must be positive and finite")
-        if self.spmp_iters < 1:
+        if self.passes < 1:
+            raise ValueError("passes must be >= 1")
+        if self.spmp_iters < 1 or self.gap_oracle_iters < 1:
             raise ValueError("oracle budget must be >= 1")
 
 
@@ -78,9 +80,6 @@ class DualModel:
 
     def embedded_labels(self) -> np.ndarray:
         return np.stack([self.task.embed(y) for y in self.ys])
-
-    def coeffs_from_scratch(self) -> np.ndarray:
-        return (self.dual_mu - self.embedded_labels()) / (self.lam * self.n)
 
 
 @dataclass
@@ -191,8 +190,7 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         walls.append(time.perf_counter() - t0)
         mu_passes[p] = mu
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
-        bayes = -task.max_oracle(-task.apply_loss_matrix(mu))
-        dual_objs.append(float(np.mean(bayes)) - 0.5 * cfg.lam * w_sq)
+        dual_objs.append(float(np.mean(task.bayes_risk(mu))) - 0.5 * cfg.lam * w_sq)
 
     gaps = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes)
     for p, gap in enumerate(gaps):

@@ -76,6 +76,7 @@ def test_tabular_parse_errors(tmp_path):
         ("feature_0,label\n", 1),
         ("feature_0,label\nnan,1\n", 2),  # float() parses nan and inf
         ("feature_0,label\n1.0,1\n-Infinity,2\n", 3),
+        ("feature_0,rank_1,rank_2\n0.5,1,2\n", 1),  # a ranking file
     ]
     for text, line in cases:
         with pytest.raises(DatasetFormatError) as exc:
@@ -108,6 +109,7 @@ def test_ranking_parse_errors(tmp_path):
         ("feature_0,rank_1,rank_2\n0.5,a,b\n", 2),  # bad rank values
         ("feature_0,rank_1,rank_2\nnan,1,2\n", 2),  # non-finite features
         ("feature_0,rank_1,rank_2\n0.5,1,2\ninf,2,1\n", 3),
+        ("feature_0,label\n0.5,1\n", 1),  # a tabular file
     ]
     for text, line in cases:
         with pytest.raises(DatasetFormatError) as exc:

@@ -127,6 +127,8 @@ def test_certified_gap_checks_every_row():
     nu[2] = [0.5, 0.5, 0.5]
     with pytest.raises(LayoutError):
         certified_gap(mu, nu, np.zeros((3, 3)), t)
+    with pytest.raises(LayoutError):
+        certified_gap(nu, mu, np.zeros((3, 3)), t)
 
 
 def test_saddle_value_sandwich():

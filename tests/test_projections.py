@@ -158,7 +158,8 @@ def test_chain_length_one_reduces_to_simplex():
 
 def near_vertex_chain_state(task, rng, eps=1e-6):
     """A chain state within eps of a random vertex, inside the polytope."""
-    y = task.random_label(rng)
+    labels = list(task.labels())
+    y = labels[rng.integers(len(labels))]
     return (1.0 - eps) * task.embed(y) + eps * random_chain_state(task, rng)
 
 

@@ -15,6 +15,12 @@ from maxminsp.tasks import (
 )
 
 
+def random_label(task, rng):
+    """A label drawn uniformly from a small task's output space."""
+    labels = list(task.labels())
+    return labels[rng.integers(len(labels))]
+
+
 def brute_force_decode(task, v):
     """Reference decoder: enumerate labels, first (lexicographic) maximizer."""
     best_y, best_val = None, -np.inf
@@ -66,10 +72,11 @@ def test_multiclass_decode_ties_prefer_low_label():
 
 
 def test_multiclass_bayes_risk_uniform():
+    # centred: the offset brings it to the Bayes risk 2/3; points are checked
     t = MulticlassTask(k=3)
-    value, y = t.bayes_risk(t.uniform_state())
-    assert abs(value - 2.0 / 3.0) < 1e-12
-    assert y == 1
+    assert abs(t.bayes_risk(t.uniform_state())[0] + t.offset - 2.0 / 3.0) < 1e-12
+    with pytest.raises(LayoutError):
+        t.bayes_risk(np.array([0.5, 0.6, 0.1]))
 
 
 def test_multiclass_invalid_labels():
@@ -98,17 +105,6 @@ def test_ordinal_loss_is_absolute_difference():
             assert t.loss(y, z) == abs(y - z)
 
 
-def test_ordinal_bayes_risk_is_weighted_median():
-    t = OrdinalTask(k=5)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        mu = rng.dirichlet(np.ones(5))
-        value, y = t.bayes_risk(mu)
-        risks = [sum(mu[z - 1] * abs(c - z) for z in t.labels()) for c in t.labels()]
-        assert abs(value - min(risks)) < 1e-12
-        assert abs(risks[y - 1] - min(risks)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # chain
 
@@ -127,8 +123,8 @@ def test_chain_loss_is_normalized_hamming():
     t = ChainTask(M=4, R=3)
     rng = np.random.default_rng(1)
     for _ in range(100):
-        y = t.random_label(rng)
-        z = t.random_label(rng)
+        y = random_label(t, rng)
+        z = random_label(t, rng)
         expected = sum(a != b for a, b in zip(y, z)) / 4
         assert abs(t.loss(y, z) - expected) < 1e-12
 
@@ -160,20 +156,6 @@ def test_chain_state_consistency_check():
         t.check_state(t.join(u, p))
 
 
-def test_chain_bayes_risk_against_enumeration():
-    t = ChainTask(M=2, R=3)
-    rng = np.random.default_rng(3)
-    labels = list(t.labels())
-    for _ in range(100):
-        w = rng.dirichlet(np.ones(len(labels)))
-        mu = np.sum([wi * t.embed(y) for wi, y in zip(w, labels)], axis=0)
-        value, y = t.bayes_risk(mu)
-        ref = min(
-            sum(wi * t.loss(c, z) for wi, z in zip(w, labels)) for c in labels
-        )
-        assert abs(value - ref) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # ranking
 
@@ -190,8 +172,8 @@ def test_ranking_loss_is_normalized_hamming():
     t = RankingTask(M=4)
     rng = np.random.default_rng(4)
     for _ in range(100):
-        y = t.random_label(rng)
-        z = t.random_label(rng)
+        y = random_label(t, rng)
+        z = random_label(t, rng)
         expected = sum(a != b for a, b in zip(y, z)) / 4
         assert abs(t.loss(y, z) - expected) < 1e-12
 
@@ -274,7 +256,7 @@ def test_loss_decomposition_matches_direct_loss():
         RankingTask(M=3),
     ):
         for _ in range(50):
-            y, z = t.random_label(rng), t.random_label(rng)
+            y, z = random_label(t, rng), random_label(t, rng)
             direct = float(t.embed(y) @ t.apply_loss_matrix(t.embed(z))) + t.offset
             assert abs(t.loss(y, z) - direct) < 1e-12
 
@@ -319,3 +301,23 @@ def test_simplex_max_oracle_rejects_bad_stacks():
                 t.max_oracle(bad)
             with pytest.raises(LayoutError):
                 t.decode(bad)
+
+
+@pytest.mark.parametrize(
+    "t", [MulticlassTask(4), OrdinalTask(5), ChainTask(2, 3), RankingTask(3)],
+    ids=lambda t: t.kind,
+)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), conc=st.sampled_from([0.2, 1.0, 5.0]))
+def test_bayes_risk_matches_enumeration(t, rows, seed, conc):
+    # the stacked, centred Bayes term of label mixtures w against
+    # min_c sum_z w_z L(c, z) over the label table, minus the offset
+    rng = np.random.default_rng(seed)
+    labels = list(t.labels())
+    E = np.stack([t.embed(y) for y in labels])
+    losses = np.array([[t.loss(c, z) for z in labels] for c in labels])
+    W = rng.dirichlet(conc * np.ones(len(labels)), size=rows)
+    want = (W @ losses.T).min(axis=1) - t.offset
+    got = t.bayes_risk(W @ E)
+    assert got.shape == (rows,)
+    assert np.all(np.abs(got - want) <= 1e-12)

@@ -29,6 +29,11 @@ def fresh_model(task, kernel, xs, ys, lam):
     )
 
 
+def coeffs_from_scratch(model):
+    """The kernel coefficients (mu_i - phi(y_i)) / (lambda n) of the model's dual state."""
+    return (model.dual_mu - model.embedded_labels()) / (model.lam * model.n)
+
+
 def hmm_chain_setup(n=10, seed=1):
     """A small seeded HMM training set with its chain task and kernel."""
     ds, _, _ = synth_hmm(n=n, M=3, R=2, seed=seed)
@@ -93,7 +98,7 @@ def test_kernel_coeffs_invariant_holds_after_training():
     cfg = TrainConfig(passes=3, lam=0.2, spmp_iters=10, seed=1,
                       kernel=KernelSpec("gaussian", gamma=1.0))
     model, _ = gbcfw_train((xs, ys), task, cfg)
-    assert np.max(np.abs(model.kernel_coeffs - model.coeffs_from_scratch())) < 1e-10
+    assert np.max(np.abs(model.kernel_coeffs - coeffs_from_scratch(model))) < 1e-10
 
 
 def test_m3n_direction_is_loss_augmented_vertex():
@@ -175,8 +180,13 @@ def test_invalid_config_rejected():
     for lam in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(lam=lam)
-    with pytest.raises(ValueError):
-        TrainConfig(spmp_iters=0)
+    # budgets are rejected at construction, before any training: no pass
+    # would leave an empty report, and a zero certification budget would
+    # fail only after every pass had trained
+    for bad in ({"spmp_iters": 0}, {"passes": 0}, {"passes": -1},
+                {"gap_oracle_iters": 0}, {"gap_oracle_iters": -1}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TrainConfig(**bad)
 
 
 def test_empty_training_set_rejected():
@@ -189,7 +199,7 @@ def test_chain_training_end_to_end():
     cfg = TrainConfig(passes=3, lam=0.1, spmp_iters=20, gap_oracle_iters=100,
                       seed=0, kernel=kernel)
     model, report = gbcfw_train(data, task, cfg)
-    assert np.max(np.abs(model.kernel_coeffs - model.coeffs_from_scratch())) < 1e-12
+    assert np.max(np.abs(model.kernel_coeffs - coeffs_from_scratch(model))) < 1e-12
     for mu in model.dual_mu:
         task.check_state(mu)
     objs = [r["dual_objective"] for r in report.records]
