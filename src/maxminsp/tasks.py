@@ -19,7 +19,11 @@ score vector and returns one label, or a (B, k) stack and returns a list of
 B labels, the lowest label winning ties.  `max_oracle` returns
 max_y phi(y)^T s for each row of a stack, computed by each task without
 decoding; every certified gap and bound is built on it.  Both check the
-stack once and then call the task's unchecked kernels.  `bayes_risk` is
+stack once and then call the task's unchecked kernels.  On chains the
+kernels, and `check_state`, work on one C-contiguous transposed copy of the
+(B, dim) stack, viewed by `ChainTask.split` as (M, R, B) unary and
+(M-1, R, R, B) pairwise blocks, so every max, argmax and sum runs over a
+leading axis, as in the projection kernels.  `bayes_risk` is
 the stacked, centred Bayes term min_y phi(y)^T A mu, one value per row of
 a checked stack of points (add `offset` for the risk itself); every dual
 objective, certified gap and calibration estimate uses it.
@@ -257,7 +261,9 @@ class SimplexTask(Task):
         return (np.argmax(S, axis=1) + 1).tolist()
 
     def _max_stack(self, S):
-        return S.max(axis=1)
+        # over the leading axis of the column stack: a max over each short
+        # row costs numpy far more per row
+        return np.ascontiguousarray(S.T).max(axis=0)
 
     def uniform_state(self):
         return np.full(self.k, 1.0 / self.k)
@@ -358,12 +364,13 @@ class ChainTask(Task):
         lm_norm = float(np.linalg.norm(self.part_loss_matrix(), 2))
         return lm_norm * self.diameter_sq * self.r2
 
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., M, R) unary and (..., M-1, R, R) pairwise views of a layout vector or stack."""
-        vec = np.asarray(vec, dtype=float)
-        lead = vec.shape[:-1]
-        u = vec[..., : self.unary_dim].reshape(*lead, self.M, self.R)
-        p = vec[..., self.unary_dim:].reshape(*lead, self.M - 1, self.R, self.R)
+    def split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M, R, ...) unary and (M-1, R, R, ...) pairwise views of a layout
+        vector or a (dim, B) column stack."""
+        X = np.asarray(X, dtype=float)
+        rest = X.shape[1:]
+        u = X[: self.unary_dim].reshape(self.M, self.R, *rest)
+        p = X[self.unary_dim:].reshape(self.M - 1, self.R, self.R, *rest)
         return u, p
 
     def join(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -404,17 +411,20 @@ class ChainTask(Task):
         return out
 
     def _backward(self, S):
-        """Suffix values of a score stack, with its unary and pairwise views.
+        """Column views of a score stack, with its suffix values.
 
-        Returns u (B, M, R), p (B, M-1, R, R) and beta (B, M, R), where
-        beta[b, m, r] is the best score of the suffix after position m
+        Works on one C-contiguous transposed copy of the (B, dim) stack S.
+        Returns u (M, R, B), p (M-1, R, R, B) and beta (M, R, B), where
+        beta[m, r, b] is the best score of row b's suffix after position m
         given y_m = r+1.
         """
-        u, p = self.split(S)
+        u, p = self.split(np.ascontiguousarray(S.T))
         beta = np.zeros(u.shape)
         for m in range(self.M - 2, -1, -1):
-            cont = p[:, m] + u[:, m + 1, None, :] + beta[:, m + 1, None, :]
-            beta[:, m] = cont.max(axis=2)
+            # p[m] is indexed (y_m, y_{m+1}, row): the best y_{m+1} is a max over axis 1
+            cont = p[m] + u[m + 1]
+            cont += beta[m + 1]
+            cont.max(axis=1, out=beta[m])
         return u, p, beta
 
     def _decode_stack(self, S):
@@ -425,17 +435,21 @@ class ChainTask(Task):
         (np.argmax returns the first maximizer).
         """
         u, p, beta = self._backward(S)
-        rows = np.arange(len(S))
-        Y = np.empty((len(S), self.M), dtype=int)
-        Y[:, 0] = np.argmax(u[:, 0] + beta[:, 0], axis=1)
+        B, R = len(S), self.R
+        Y = np.empty((self.M, B), dtype=np.intp)
+        Y[0] = np.argmax(u[0] + beta[0], axis=0)
+        # row Y[m, b] of pairwise block m in column b, gathered as an (R, B) array
+        p = p.reshape(self.M - 1, R * R * B)
+        offsets = np.arange(R)[:, None] * B + np.arange(B)
         for m in range(self.M - 1):
-            cont = p[rows, m, Y[:, m]] + u[:, m + 1] + beta[:, m + 1]
-            Y[:, m + 1] = np.argmax(cont, axis=1)
-        return [tuple(y) for y in (Y + 1).tolist()]
+            cont = p[m].take(Y[m] * (R * B) + offsets) + u[m + 1]
+            cont += beta[m + 1]
+            Y[m + 1] = np.argmax(cont, axis=0)
+        return list(zip(*(Y + 1).tolist()))
 
     def _max_stack(self, S):
         u, _, beta = self._backward(S)
-        return (u[:, 0] + beta[:, 0]).max(axis=1)
+        return (u[0] + beta[0]).max(axis=0)
 
     def uniform_state(self):
         u = np.full((self.M, self.R), 1.0 / self.R)
@@ -444,18 +458,23 @@ class ChainTask(Task):
 
     def check_state(self, mu):
         mu = self._state_stack(mu)
-        u, p = self.split(mu)
         if np.any(mu < -1e-12):
             raise LayoutError("negative marginals")
-        if np.any(np.abs(u.sum(axis=2) - 1.0) > 1e-9):
+        u, p = self.split(np.ascontiguousarray(mu.T))
+        if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
             raise LayoutError("unary block does not sum to 1")
-        for m in range(self.M - 1):
-            if np.any(np.abs(p[:, m].sum(axis=(1, 2)) - 1.0) > 1e-9):
-                raise LayoutError(f"pairwise block {m} does not sum to 1")
-            if np.any(np.abs(p[:, m].sum(axis=2) - u[:, m]) > 1e-8):
-                raise LayoutError(f"pairwise block {m} inconsistent with unary {m}")
-            if np.any(np.abs(p[:, m].sum(axis=1) - u[:, m + 1]) > 1e-8):
-                raise LayoutError(f"pairwise block {m} inconsistent with unary {m + 1}")
+        # the three invariants of every pairwise block, one row of flags per
+        # block; the first failing block is named, its first failing check first
+        bad = np.stack([
+            np.any(np.abs(p.sum(axis=(1, 2)) - 1.0) > 1e-9, axis=1),
+            np.any(np.abs(p.sum(axis=2) - u[:-1]) > 1e-8, axis=(1, 2)),
+            np.any(np.abs(p.sum(axis=1) - u[1:]) > 1e-8, axis=(1, 2)),
+        ], axis=1)
+        if bad.any():
+            m, check = np.argwhere(bad)[0]
+            raise LayoutError((f"pairwise block {m} does not sum to 1",
+                               f"pairwise block {m} inconsistent with unary {m}",
+                               f"pairwise block {m} inconsistent with unary {m + 1}")[check])
 
     def project_stack(self, L, G, eta):
         return _chain_stack(L, G, eta, self.M, self.R)

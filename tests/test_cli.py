@@ -70,6 +70,22 @@ def test_train_grid_selects_by_validation(tmp_path):
     assert f"selected lambda={best['lambda']}" in res.output
 
 
+def test_train_chain_end_to_end_is_deterministic(tmp_path):
+    data = tmp_path / "hmm.seq"
+    res = run(["synth", "--kind", "hmm", "--n", "40", "--param", "M=3", "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    texts = []
+    for rerun in ("a", "b"):
+        out = tmp_path / rerun
+        res = run(["train", "--data", str(data), "--task", "chain", "--lambda", "0.1",
+                   "--passes", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        texts.append((out / "results.jsonl").read_bytes())
+    assert texts[0] == texts[1]
+    rec = json.loads(texts[0])
+    assert rec["lambda"] == 0.1 and 0.0 <= rec["test_loss"] <= 1.0
+
+
 def test_train_parse_error_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("feature_0,label\noops,1\n")

@@ -1,5 +1,6 @@
 """The column-stack kernels against the row-layout kernels they replaced,
-and the log-domain engine against the probability-domain engine it replaced.
+the chain task's stack methods against their row-layout versions, and the
+log-domain engine against the probability-domain engine it replaced.
 
 The projection kernels and the mirror-prox engine work on C-contiguous
 (dim, B) column stacks of log-iterates.  The row-layout kernels below are
@@ -9,6 +10,15 @@ wherever the reference summed fewer than 8 terms, since numpy sums fewer
 than 8 contiguous terms in order, as a column kernel does; from 8 terms on,
 numpy sums a contiguous row pairwise, so the two may differ in the last
 bits and must agree to 1e-12 relative.
+
+The chain task's Viterbi decoder, max oracle and polytope check once
+reduced over the last axes of (B, M, R) and (B, M-1, R, R) row views; they
+are kept below as references.  Max and argmax are exact and the decoder's
+additions keep their order, so decoded labels and max-oracle values must
+match bit for bit, and `check_state` must pass or fail with the same
+message.  Its sums of 8 or more terms (a pairwise block from R = 3 on) may
+differ from the reference's in the last bits, which could only matter for
+a point within a few ulps of a tolerance; the tests draw none.
 
 The engine once carried probabilities: each kernel took the log of the
 iterate it was handed and floored the probabilities it returned.  That
@@ -142,6 +152,54 @@ def row_sinkhorn(L, G, eta, tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
     M = math.isqrt(L.shape[1])
     P = np.maximum(row_sinkhorn_scale((L + eta * G).reshape(B, M, M), tol, max_iter), PROB_FLOOR)
     return np.log(P), P
+
+
+def row_chain_views(task, S):
+    """(B, M, R) unary and (B, M-1, R, R) pairwise views of a (B, dim) row stack."""
+    B, U = len(S), task.unary_dim
+    return (S[:, :U].reshape(B, task.M, task.R),
+            S[:, U:].reshape(B, task.M - 1, task.R, task.R))
+
+
+def row_chain_backward(task, S):
+    u, p = row_chain_views(task, S)
+    beta = np.zeros(u.shape)
+    for m in range(task.M - 2, -1, -1):
+        cont = p[:, m] + u[:, m + 1, None, :] + beta[:, m + 1, None, :]
+        beta[:, m] = cont.max(axis=2)
+    return u, p, beta
+
+
+def row_chain_decode(task, S):
+    u, p, beta = row_chain_backward(task, S)
+    rows = np.arange(len(S))
+    Y = np.empty((len(S), task.M), dtype=int)
+    Y[:, 0] = np.argmax(u[:, 0] + beta[:, 0], axis=1)
+    for m in range(task.M - 1):
+        cont = p[rows, m, Y[:, m]] + u[:, m + 1] + beta[:, m + 1]
+        Y[:, m + 1] = np.argmax(cont, axis=1)
+    return [tuple(y) for y in (Y + 1).tolist()]
+
+
+def row_chain_max(task, S):
+    u, _, beta = row_chain_backward(task, S)
+    return (u[:, 0] + beta[:, 0]).max(axis=1)
+
+
+def row_chain_check_state(task, mu):
+    mu = np.asarray(mu, dtype=float).reshape(-1, task.embed_dim)
+    u, p = row_chain_views(task, mu)
+    if np.any(mu < -1e-12):
+        raise LayoutError("negative marginals")
+    if np.any(np.abs(u.sum(axis=2) - 1.0) > 1e-9):
+        raise LayoutError("unary block does not sum to 1")
+    for m in range(task.M - 1):
+        if np.any(np.abs(p[:, m].sum(axis=(1, 2)) - 1.0) > 1e-9):
+            raise LayoutError(f"pairwise block {m} does not sum to 1")
+        if np.any(np.abs(p[:, m].sum(axis=2) - u[:, m]) > 1e-8):
+            raise LayoutError(f"pairwise block {m} inconsistent with unary {m}")
+        if np.any(np.abs(p[:, m].sum(axis=1) - u[:, m + 1]) > 1e-8):
+            raise LayoutError(f"pairwise block {m} inconsistent with unary {m + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +422,112 @@ def test_engine_outputs_stay_off_the_subnormal_range(task, scale):
 
 
 # ---------------------------------------------------------------------------
+# chain stack methods against their row-layout references
+
+
+CHAIN_TASKS = [ChainTask(1, 3), ChainTask(3, 2), ChainTask(4, 3)]
+
+
+def chain_scores(task, rng, rows, tied):
+    """A (rows, dim) score stack: wide normals, or small integers that tie."""
+    if tied:
+        return rng.integers(-2, 3, size=(rows, task.embed_dim)).astype(float)
+    return rng.normal(size=(rows, task.embed_dim)) * 10
+
+
+def assert_scores_match_row_reference(task, S):
+    labels = task.decode(S)
+    assert labels == row_chain_decode(task, S)
+    assert all(type(c) is int for y in labels for c in y)
+    got = task.max_oracle(S)
+    assert got.shape == (len(S),)
+    assert np.array_equal(got, row_chain_max(task, S))
+
+
+def layout_error(check, mu):
+    """The message check(mu) raises, or None when mu passes."""
+    try:
+        check(mu)
+    except LayoutError as e:
+        return str(e)
+    return None
+
+
+def perturbed_points(task, rng, rows, moves, scale):
+    """Interior points with `moves` random moves of about `scale` each: mass
+    added to one entry of a row and, half the time, taken from another entry
+    of the same block, which keeps every block sum but not the marginals."""
+    mu = interior_points(task, rng, rows)
+    blocks = _blocks(task)
+    for _ in range(moves):
+        block = blocks[rng.integers(len(blocks))]
+        b, (i, j) = rng.integers(rows), rng.choice(np.arange(task.embed_dim)[block], size=2)
+        d = scale * rng.normal()
+        mu[b, i] += d
+        if rng.random() < 0.5:
+            mu[b, j] -= d
+    return mu
+
+
+def assert_check_matches_row_reference(task, mu):
+    want = layout_error(lambda x: row_chain_check_state(task, x), mu)
+    assert layout_error(task.check_state, mu) == want
+    return want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(task=st.sampled_from(CHAIN_TASKS), rows=st.integers(1, 5000), tied=st.booleans(),
+       seed=seeds)
+def test_chain_scores_match_row_reference(task, rows, tied, seed):
+    assert_scores_match_row_reference(task, chain_scores(task, np.random.default_rng(seed), rows, tied))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(task=st.sampled_from(CHAIN_TASKS), rows=st.integers(1, 5000), moves=st.integers(0, 4),
+       scale=st.sampled_from([1e-10, 3e-9, 3e-8, 0.05]), seed=seeds)
+def test_chain_check_state_matches_row_reference(task, rows, moves, scale, seed):
+    mu = perturbed_points(task, np.random.default_rng(seed), rows, moves, scale)
+    assert_check_matches_row_reference(task, mu)
+    assert_check_matches_row_reference(task, mu[-1])
+
+
+@pytest.mark.parametrize("task", CHAIN_TASKS, ids=lambda t: f"M{t.M}R{t.R}")
+def test_chain_stack_methods_fixed_cases(task):
+    rng = np.random.default_rng(41)
+    for rows in (1, 2, 5000):
+        for tied in (False, True):
+            S = chain_scores(task, rng, rows, tied)
+            assert_scores_match_row_reference(task, S)
+            # the transposed view of a column stack is F-ordered
+            assert_scores_match_row_reference(task, columns(S).T)
+            assert task.decode(S[0]) == row_chain_decode(task, S[:1])[0]
+    empty = np.zeros((0, task.embed_dim))
+    assert_scores_match_row_reference(task, empty)
+    task.check_state(empty)
+    # rows failing each check, alone and at the end of a stack of good rows:
+    # one entry moved, or mass moved between two entries of one block
+    messages = set()
+    good = interior_points(task, rng, 50)
+    for block in _blocks(task):
+        for i in np.arange(task.embed_dim)[block]:
+            for j in (i, *np.arange(task.embed_dim)[block][:2]):
+                for step in (-1.0, 0.05, 3e-9):
+                    bad = good[0].copy()
+                    bad[i] += step
+                    if j != i:
+                        bad[j] -= step
+                    messages.add(assert_check_matches_row_reference(task, bad))
+                    assert assert_check_matches_row_reference(task, np.vstack([good, bad])) == \
+                        layout_error(task.check_state, bad)
+    want = {"negative marginals", "unary block does not sum to 1"}
+    for m in range(task.M - 1):
+        want |= {f"pairwise block {m} does not sum to 1",
+                 f"pairwise block {m} inconsistent with unary {m}",
+                 f"pairwise block {m} inconsistent with unary {m + 1}"}
+    assert want <= messages
+
+
+# ---------------------------------------------------------------------------
 # layouts and error rows
 
 
@@ -410,6 +574,14 @@ def bad_rows(task):
         shifted[U:U + task.R] += 0.05  # pairwise block 0: first row up
         shifted[U + task.R:U + 2 * task.R] -= 0.05  # second row down, sum kept
         out.append(("inconsistent", shifted))
+        unary = u.copy()
+        unary[0] += 0.05  # unary block 0 no longer sums to 1
+        out.append(("unary sum", unary))
+        right = u.copy()
+        last = U + (task.M - 2) * task.R ** 2
+        right[last] += 0.05  # last pairwise block: first row's first entry up,
+        right[last + 1] -= 0.05  # its second down, so only the column sums move
+        out.append(("inconsistent on the right", right))
     return out
 
 

@@ -1,13 +1,14 @@
-"""The projection kernels reduce over leading axes only.
+"""The projection kernels and the task stack methods reduce over leading axes only.
 
-The kernels work on (dim, B) column stacks, so a reduction over the last
-axis would run over a short, strided row of each point: numpy then pays
-per row what a whole-column operation pays once.  This lint parses
-`projections.py` and fails on any reduction inside a kernel whose axis is
-missing (all axes, the last included), negative, or not a literal.  A
-non-negative literal axis can still name the last axis; in a column stack
+They work on (dim, B) column stacks, so a reduction over the last axis
+would run over a short, strided row of each point: numpy then pays per row
+what a whole-column operation pays once.  This lint parses `projections.py`
+and `tasks.py` and fails on any reduction inside a linted function whose
+axis is missing (all axes, the last included), negative, or not a literal.
+A non-negative literal axis can still name the last axis; in a column stack
 that axis holds the rows, so a reduction over it mixes rows, which the
-stacked-against-per-row tests catch.
+stacked-against-per-row tests catch.  Methods are matched by their
+class-qualified name, `Class.method`.
 """
 
 import ast
@@ -16,6 +17,8 @@ from pathlib import Path
 import maxminsp
 
 KERNELS = {"_softmax_stack", "_chain_stack", "_sinkhorn_stack", "_logsumexp"}
+TASK_METHODS = {"ChainTask._backward", "ChainTask._decode_stack", "ChainTask._max_stack",
+                "ChainTask.check_state", "SimplexTask._max_stack"}
 # arithmetic reductions only: any/all over per-column flags steer the
 # Sinkhorn loop and reduce over the rows on purpose
 REDUCTIONS = {"sum", "max", "min", "prod", "mean", "amax", "amin", "reduce"}
@@ -43,25 +46,45 @@ def _leading(axis) -> bool:
     return (isinstance(axis, ast.Constant) and type(axis.value) is int and axis.value >= 0)
 
 
-def last_axis_reductions(source: str) -> tuple[list[str], set[str]]:
-    """`function:line` of every reduction in a kernel not over a leading axis,
-    and the kernels found."""
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and each method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def last_axis_reductions(source: str, linted: set[str]) -> tuple[list[str], set[str]]:
+    """`name:line` of every reduction in a linted function not over a leading
+    axis, and the linted functions found."""
     found, seen = [], set()
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, ast.FunctionDef) or fn.name not in KERNELS:
+    for name, fn in _functions(ast.parse(source)):
+        if name not in linted:
             continue
-        seen.add(fn.name)
+        seen.add(name)
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in REDUCTIONS and not _leading(_axis(node))):
-                found.append(f"{fn.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     return found, seen
 
 
+def _source(module: str) -> str:
+    return (Path(maxminsp.__file__).parent / module).read_text()
+
+
 def test_kernels_reduce_over_leading_axes():
-    source = (Path(maxminsp.__file__).parent / "projections.py").read_text()
-    found, seen = last_axis_reductions(source)
+    found, seen = last_axis_reductions(_source("projections.py"), KERNELS)
     assert seen == KERNELS
+    assert found == []
+
+
+def test_chain_stack_methods_reduce_over_leading_axes():
+    found, seen = last_axis_reductions(_source("tasks.py"), TASK_METHODS)
+    assert seen == TASK_METHODS
     assert found == []
 
 
@@ -80,6 +103,30 @@ def test_lint_catches_last_axis_reductions():
         "def helper(Q):\n"
         "    return Q.sum(axis=-1)\n"
     )
-    found, seen = last_axis_reductions(src)
+    found, seen = last_axis_reductions(src, KERNELS)
     assert seen == {"_softmax_stack"}
     assert found == [f"_softmax_stack:{line}" for line in range(2, 9)]
+
+
+def test_lint_catches_last_axis_reductions_in_methods():
+    # matched by class-qualified name: a same-named method of another class,
+    # or a module-level function, is not linted
+    src = (
+        "class ChainTask(Task):\n"
+        "    def _max_stack(self, S):\n"
+        "        u, _, beta = self._backward(S)\n"
+        "        return (u[:, 0] + beta[:, 0]).max(axis=-1)\n"
+        "    def check_state(self, mu):\n"
+        "        if np.any(np.abs(mu.sum(axis=1) - 1.0) > 1e-9):\n"
+        "            raise LayoutError(mu.sum())\n"
+        "    def labels(self):\n"
+        "        return S.max()\n"
+        "class RankingTask(Task):\n"
+        "    def _max_stack(self, S):\n"
+        "        return S.max(axis=-1)\n"
+        "def _max_stack(S):\n"
+        "    return S.max()\n"
+    )
+    found, seen = last_axis_reductions(src, TASK_METHODS)
+    assert seen == {"ChainTask._max_stack", "ChainTask.check_state"}
+    assert found == ["ChainTask._max_stack:4", "ChainTask.check_state:7"]
