@@ -12,16 +12,22 @@ leading axes.  The projections pass log-iterates on, so the engine takes
 one log per call.  It transposes the scores once on entry and splits its
 results, in probabilities, into (B, dim) player stacks on return, so the
 column stack never leaves it.  The polytope enters only through the task: its
-`project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`.
-`spmp_solve` is one engine call on one vector plus its certificate.  The
-trainer calls the engine itself, once per block update, and certifies a
-whole training afterwards: `trainer.dual_gap` makes one engine call over
-every example of every pass, and `certified_gap` is called once on all
-block updates' iterates.
+`project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`,
+and for adaptive steps its `bregman` and `adaptive_start`.
+
+Rounds run at a fixed step, except in dual-gap certification, which asks
+for adaptive steps; the certificate is exact at any iterate, so steps move
+how tight a bound is, never whether it holds.  `spmp_solve` is one
+fixed-step engine call on one vector plus its certificate.  The trainer
+calls the engine itself, once per block update, and certifies a whole
+training afterwards: `trainer.dual_gap` makes one adaptive engine call
+over every example of every pass, and `certified_gap` is called once on
+all block updates' iterates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +77,7 @@ def spmp_solve_batch_simplex(
     K: int,
     eta: float | None = None,
     init: tuple[np.ndarray, np.ndarray] | None = None,
+    adaptive: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
@@ -78,12 +85,23 @@ def spmp_solve_batch_simplex(
     are the max players mu, columns B: the min players nu.  Each projection
     steps from the log-iterate L and returns the next L with X.  A is applied
     through the task's row API on the transposed view X.T.  A round takes
-    a half-step from X with the gradient at X and a full step from X with
-    the gradient at the half-step point; the half-step points are averaged.  The default eta
+    a half-step Y from X with the gradient at X and a full step X+ from X
+    with the gradient at Y; the half-step points are averaged.  The default eta
     is 1/(2 l_spmp) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
     or B rows each; it is floored and checked against the polytope.
+
+    adaptive gives each row its own step, starting at the task's
+    `adaptive_start` times eta (2**10; rankings keep eta).  A round
+    is redone with the step halved for every row that fails Nemirovski's
+    local criterion  rate <G(X) - G(Y), Y - X+> <= D(X+, Y) + D(Y, X)
+    (G the ascent direction, D the task's `bregman`, both players summed);
+    eta itself is always accepted, so steps never fall below it and never
+    grow.  The half-step points are averaged as at a fixed step.  The
+    criterion reuses the projections' log-iterates and makes no projection
+    of its own; a row's steps depend on that row alone.
+
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates and the final full-step iterates, as C-contiguous (B, dim)
     stacks.  Serves every polytope; the name predates that and stays
@@ -111,21 +129,47 @@ def spmp_solve_batch_simplex(
         X = X.T.copy()
     L = np.log(X)
 
-    # one gradient buffer: each projection reads it before the next grad call
-    G = np.empty_like(X)
-    G_max, G_min = G[:, :B], G[:, B:]
+    def gradient(G):
+        """The gradient map at a column stack, written into the buffer G."""
+        G_max, G_min = G[:, :B], G[:, B:]
 
-    def grad(X):
-        AX = apply_a(X.T).T
-        np.add(AX[:, B:], VT, G_max)
-        np.negative(AX[:, :B], G_min)
-        return G
+        def grad(X):
+            AX = apply_a(X.T).T
+            np.add(AX[:, B:], VT, G_max)
+            np.negative(AX[:, :B], G_min)
+            return G
+
+        return grad
+
+    # one gradient buffer: each projection reads it before the next grad call
+    grad = gradient(np.empty_like(X))
+    # a task that starts at the worst-case step keeps it, with no checks
+    adaptive = adaptive and task.adaptive_start > 1
+    if adaptive:
+        # one rate per column, a row's two players sharing its step
+        step = np.full(2 * B, rate * task.adaptive_start)
+        # the gradient at X is kept while the round is redone
+        grad_half = gradient(np.empty_like(X))
+
+        def adaptive_round(L, X):
+            G_x = grad(X)
+            while True:
+                L_half, X_half = proj(L, G_x, step)
+                G_y = grad_half(X_half)
+                L_new, X_new = proj(L, G_y, step)
+                redo = _rejected(task, step, rate, G_x, G_y, (L, X), (L_half, X_half), (L_new, X_new))
+                if not redo.any():
+                    return L_half, X_half, L_new, X_new
+                step[np.concatenate([redo, redo])] *= 0.5
 
     X_sum = np.zeros_like(X)
     for it in range(K):
         try:
-            L_half, X_half = proj(L, grad(X), rate)
-            L, X = proj(L, grad(X_half), rate)
+            if adaptive:
+                L_half, X_half, L, X = adaptive_round(L, X)
+            else:
+                L_half, X_half = proj(L, grad(X), rate)
+                L, X = proj(L, grad(X_half), rate)
         except SinkhornConvergenceError as exc:
             player = "max" if exc.row < B else "min"
             raise RuntimeError(
@@ -135,6 +179,26 @@ def spmp_solve_batch_simplex(
     X_sum /= K
     X_bar, X = X_sum.T.copy(), X.T.copy()
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
+
+
+# error of one divergence entry: the floor moves a probability by up to
+# PROB_FLOOR, at a log-ratio of up to |log PROB_FLOOR|
+_FLOOR_SLACK = PROB_FLOOR * -math.log(PROB_FLOOR)
+
+
+def _rejected(task: Task, rates, floor: float, G_x, G_y, X, Y, X_new) -> np.ndarray:
+    """Rows whose round fails the local criterion at a step above floor.
+
+    rates holds each column's step; X, Y and X_new are (L, P) pairs of the
+    round's start, half-step and full-step column stacks.
+    """
+    B = len(rates) // 2
+    # G_y is recomputed before its next use
+    dG = np.subtract(G_x, G_y, out=G_y)
+    dG *= Y[1] - X_new[1]
+    slack = task.bregman(*X_new, *Y) + task.bregman(*Y, *X) - rates * dG.sum(axis=0)
+    # four divergences of dim entries per row: the floor's error is no failure
+    return (slack[:B] + slack[B:] < -4 * task.embed_dim * _FLOOR_SLACK) & (rates[:B] > floor)
 
 
 def spmp_solve(

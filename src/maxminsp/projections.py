@@ -143,13 +143,18 @@ def _sinkhorn_stack(
     array.  Each column stops scaling once its own residual reaches tol,
     so its result does not depend on the rest of the stack.  Columns still
     above 10*tol after max_iter sweeps raise SinkhornConvergenceError,
-    which names the worst column as its `row`.
+    which names the worst column as its `row`; so does, before any sweep,
+    a column with a row or column of zeros after exp.
     """
     B = L.shape[1]
     M = math.isqrt(L.shape[0])
     logK = L + eta * G
     logK -= logK.max(axis=0)
     K = np.exp(logK).reshape(M, M, B)
+    # a row or column that exp flushed to zero admits no scaling at all
+    empty = ~(K.any(axis=1).all(axis=0) & K.any(axis=0).all(axis=0))
+    if empty.any():
+        raise SinkhornConvergenceError(math.inf, 0, int(np.argmax(empty)))
 
     residual = np.full(B, np.inf)
     active = np.arange(B)
@@ -172,7 +177,7 @@ def _sinkhorn_stack(
     else:
         K[..., active] = Ka
         worst = int(np.argmax(residual))
-        if residual[worst] > 10 * tol:
+        if not residual[worst] <= 10 * tol:  # also a nan residual
             raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
     P = np.maximum(K.reshape(M * M, B), PROB_FLOOR)
     return np.log(P), P

@@ -8,7 +8,9 @@ the offset `a` is re-added whenever a human-readable loss or risk is
 reported.
 
 Each task also owns its marginal polytope: the stack projection under the
-polytope's entropy and the constants that set the saddle solver's step.
+polytope's entropy, that entropy's Bregman divergence (`bregman`, which
+the solver's adaptive steps check against) and the constants that set
+the saddle solver's step.
 `project_stack` serves the solver engine and takes and returns (dim, B)
 column stacks of log-iterates, floored at log(PROB_FLOOR); the other methods
 on points and scores take one vector or a (B, dim) stack of rows, in
@@ -69,6 +71,17 @@ def _check_sizes(**sizes) -> None:
             raise ValueError(f"task size {name} must be an integer, got {value!r}")
 
 
+def _kl_stack(L, P, L_ref, P_ref) -> np.ndarray:
+    """KL(P || P_ref) per column of two softmax iterates.
+
+    L is log P up to a constant per column, which any entry fixes: the
+    first one is read, log P = L - (L[0] - log P[0]).
+    """
+    D = L - L_ref
+    D *= P
+    return D.sum(axis=0) - (L[0] - L_ref[0]) + np.log(P[0] / P_ref[0])
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
@@ -81,8 +94,9 @@ class Task:
     Polytope constants: `r2` is the entropy range (max H - min H), shared
     by both saddle players; `diameter_sq` is max ||phi(y) - phi(y')||_2^2;
     `l_spmp` is the theory smoothness constant of the saddle problem.
-    `certify_eta`, when set, is the step used when the solver only
-    certifies a bound.
+    `certify_eta`, when set, is the fixed step of calibration's batched
+    solve; dual-gap certification picks its steps adaptively instead,
+    starting at `adaptive_start` times the worst-case step.
     """
 
     kind: str
@@ -92,6 +106,7 @@ class Task:
     diameter_sq: float
     l_spmp: float
     certify_eta: float | None = None
+    adaptive_start: float = 2.0 ** 10
 
     # -- labels ----------------------------------------------------------
     def check_label(self, y) -> None:
@@ -233,8 +248,8 @@ class SimplexTask(Task):
 
     @cached_property
     def certify_eta(self) -> float:
-        # certification only: a step well above the worst-case-safe
-        # default tightens the bound at equal budget
+        # the calibration search's fixed step: well above the worst-case
+        # default, it tightens the certified bound at equal budget
         return 4.0 / self.l_spmp
 
     def check_label(self, y) -> None:
@@ -275,6 +290,9 @@ class SimplexTask(Task):
 
     def project_stack(self, L, G, eta):
         return _softmax_stack(L, G, eta)
+
+    def bregman(self, L, P, L_ref, P_ref):
+        return _kl_stack(L, P, L_ref, P_ref)
 
 
 @dataclass(frozen=True)
@@ -479,6 +497,23 @@ class ChainTask(Task):
     def project_stack(self, L, G, eta):
         return _chain_stack(L, G, eta, self.M, self.R)
 
+    @cached_property
+    def _entropy_signs(self) -> np.ndarray:
+        """(embed_dim, 1) signs of the junction-tree entropy: +1 on pairwise
+        blocks, -1 on interior unaries, 0 on the two end unaries."""
+        u = np.zeros((self.M, self.R))
+        u[1:-1] = -1.0
+        return _read_only(np.concatenate([u.ravel(), np.ones(self.embed_dim - self.unary_dim)])[:, None])
+
+    def bregman(self, L, P, L_ref, P_ref):
+        if self.M == 1:  # one unary block: the simplex, as in the kernel
+            return _kl_stack(L, P, L_ref, P_ref)
+        # signed block KLs; the kernel's log-marginals are normalized
+        D = L - L_ref
+        D *= P
+        D *= self._entropy_signs
+        return D.sum(axis=0)
+
 
 @dataclass(frozen=True)
 class RankingTask(Task):
@@ -491,6 +526,9 @@ class RankingTask(Task):
 
     M: int
     kind = "ranking"
+    # Sinkhorn stalls on the near-vertex iterates of larger steps, so
+    # certification keeps the worst-case step
+    adaptive_start = 1.0
 
     def __post_init__(self):
         _check_sizes(M=self.M)
@@ -586,6 +624,14 @@ class RankingTask(Task):
 
     def project_stack(self, L, G, eta):
         return _sinkhorn_stack(L, G, eta)
+
+    def bregman(self, L, P, L_ref, P_ref):
+        # entry-wise KL of the unnormalized entropy; L is log P
+        D = L - L_ref
+        D *= P
+        D -= P
+        D += P_ref
+        return D.sum(axis=0)
 
 
 def make_task(kind: str, **params) -> Task:

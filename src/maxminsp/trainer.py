@@ -13,11 +13,12 @@ one score vector.
 Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
 averaged iterates are kept in (passes, n, dim) arrays, then one
-`dual_gap` call (one engine call over every pass's examples) gives each
-pass's dual gap and one `certified_gap` call gives each pass's mean block
-oracle gap.  The engine is row-independent, so each pass's dual gap
-equals that of certifying the pass alone; certification memory is
-O(passes n dim).
+`dual_gap` call (one engine call over every pass's examples, with
+adaptive steps) gives each pass's dual gap and its lower bound, and one
+`certified_gap` call gives each pass's mean block oracle gap.  Block
+updates keep the engine's fixed step.  The engine is row-independent, its
+adaptive steps included, so each pass's dual gap equals that of
+certifying the pass alone; certification memory is O(passes n dim).
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ def dual_gap(
     K_gram: np.ndarray | None = None,
     oracle_iters: int = 500,
     mu: np.ndarray | None = None,
+    lower: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Upper bound on the dual suboptimality, averaged over examples.
 
@@ -115,9 +117,15 @@ def dual_gap(
 
     mu is the dual state, model.dual_mu by default: one (n, dim) state
     gives one float, a (P, n, dim) stack of states gives P mean gaps.  One
-    engine call covers every example of every state, with the task's
-    certification step; the engine is row-independent, so a state's gap
-    does not depend on what it is stacked with.
+    engine call covers every example of every state, with adaptive steps;
+    each row's steps and iterates depend on that row alone, so a state's
+    gap does not depend on what it is stacked with.
+
+    lower, when given, is an array with one entry per state that receives
+    the state's mean lower bound H_i(mu_bar_i) - H_i(mu_i), from the same
+    call's averaged max player mu_bar_i: the upper bound less the gap the
+    oracle's own pair (mu_bar_i, nu_bar_i) certifies.  Both sides come
+    from one `certified_gap` call.
     """
     task = model.task
     if K_gram is None:
@@ -126,8 +134,14 @@ def dual_gap(
     states = mu.reshape(-1, model.n, task.embed_dim)
     coeffs = (states - model.embedded_labels()) / (model.lam * model.n)
     V = _scores_from_gram(K_gram, coeffs).reshape(-1, task.embed_dim)
-    nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, task.certify_eta)[1]
-    gaps = certified_gap(states.reshape(V.shape), nu_bar, V, task).reshape(states.shape[:2])
+    # adaptive steps from the worst-case one up
+    mu_bar, nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, None, None, True)[:2]
+    # gaps at (mu_i, nu_bar_i), then at (mu_bar_i, nu_bar_i)
+    both = certified_gap(np.concatenate([states.reshape(V.shape), mu_bar]),
+                         np.concatenate([nu_bar, nu_bar]), np.concatenate([V, V]), task)
+    gaps = both[:len(V)].reshape(states.shape[:2])
+    if lower is not None:
+        lower[...] = (gaps - both[len(V):].reshape(gaps.shape)).mean(axis=1)
     means = gaps.mean(axis=1)
     return float(means[0]) if mu.ndim == 2 else means
 
@@ -192,7 +206,9 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
         dual_objs.append(float(np.mean(task.bayes_risk(mu))) - 0.5 * cfg.lam * w_sq)
 
-    gaps = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes)
+    lowers = np.empty(cfg.passes)
+    gaps = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes,
+                    lower=lowers)
     for p, gap in enumerate(gaps):
         if gap < -1e-6:
             raise RuntimeError(f"negative dual gap {float(gap)} at pass {p + 1}")
@@ -209,6 +225,7 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
                 "dual_objective": dual_objs[p],
                 "primal_upper": dual_objs[p] + float(gaps[p]),
                 "dual_gap": float(gaps[p]),
+                "dual_gap_lower": float(lowers[p]),
                 "mean_oracle_gap": float(oracle_gaps[p]),
                 "wall_s": walls[p],
             }

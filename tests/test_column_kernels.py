@@ -395,6 +395,19 @@ def test_mirror_prox_stack_equals_row_calls(task):
                 assert np.array_equal(got[b], row[0])
 
 
+@pytest.mark.parametrize("task", ENGINE_TASKS, ids=lambda t: t.kind)
+def test_adaptive_stack_equals_row_calls(task):
+    # each row keeps its own steps, so stacking rows changes no bit
+    rng = np.random.default_rng(32)
+    rows = 6
+    V = rng.normal(size=(rows, task.embed_dim)) * (0.03 if task.kind == "ranking" else 3.0)
+    V[0] *= 10.0  # rows whose steps settle apart
+    stacks = spmp_solve_batch_simplex(V, task, 30, None, None, True)
+    for b in range(rows):
+        for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, None, None, True)):
+            assert np.array_equal(got[b], row[0])
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(task=st.sampled_from(ENGINE_TASKS), rows=st.integers(1, 4), K=st.integers(1, 80),
        scale=st.sampled_from([0.3, 3.0, 30.0]), warm=st.booleans(), seed=seeds)

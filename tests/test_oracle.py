@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxminsp import oracle
 from maxminsp.oracle import (
     certified_gap,
     spmp_solve,
@@ -253,3 +254,149 @@ def test_warm_start_speeds_repeat_solves():
     cold = spmp_solve(v, t, K=10)
     warm = spmp_solve(v, t, init=(cold.mu_last, cold.nu_last), K=10)
     assert warm.gap < cold.gap
+
+
+# ---------------------------------------------------------------------------
+# adaptive steps (certification)
+
+
+def _points(t, rng, rows):
+    """Rows strictly inside the polytope: Dirichlet mixtures of all labels."""
+    E = np.stack([t.embed(y) for y in t.labels()])
+    return rng.dirichlet(np.full(len(E), 0.7), size=rows) @ E
+
+
+def _chain_joint(t, mu):
+    """The Markov chain distribution over all labels with marginals mu."""
+    u, p = t.split(mu)
+    probs = []
+    for y in t.labels():
+        s = [c - 1 for c in y]
+        val = u[0, s[0]] if t.M == 1 else np.prod([p[m, s[m], s[m + 1]] for m in range(t.M - 1)])
+        val /= np.prod([u[m, s[m]] for m in range(1, t.M - 1)])
+        probs.append(val)
+    return np.array(probs)
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(4), OrdinalTask(3), ChainTask(1, 3), ChainTask(3, 2),
+                               ChainTask(4, 3), RankingTask(3)], ids=lambda t: f"{t.kind}{t.embed_dim}")
+def test_bregman_matches_direct_divergence(t):
+    rng = np.random.default_rng(21)
+    P, Q = (_points(t, rng, 5) for _ in range(2))
+    cols = [np.ascontiguousarray(X.T) for X in (P, Q)]
+    # log-iterates as the kernels return them: the softmax kernel's are
+    # shifted by a constant per column, the others' are exact
+    L_P, L_Q = np.log(cols[0]), np.log(cols[1])
+    if t.kind != "ranking" and (t.kind != "chain" or t.M == 1):
+        L_P += rng.uniform(-5, 5, size=5)
+        L_Q += rng.uniform(-5, 5, size=5)
+    got = t.bregman(L_P, cols[0], L_Q, cols[1])
+    for b in range(5):
+        if t.kind == "chain":
+            # the signed block KLs are the KL of the chain distributions
+            p, q = _chain_joint(t, P[b]), _chain_joint(t, Q[b])
+        else:
+            p, q = P[b], Q[b]
+        want = float(np.sum(p * np.log(p / q)))
+        assert got[b] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    # D(P, P) = 0
+    assert np.all(np.abs(t.bregman(L_P, cols[0], L_P, cols[0])) < 1e-12)
+
+
+def _recorded_rates(monkeypatch, t):
+    """Calls of the task's project_stack are recorded: each call's eta per column."""
+    rates = []
+    project_stack = type(t).project_stack
+
+    def recording(self, L, G, eta):
+        rates.append(np.broadcast_to(eta, L.shape[1:]).copy())
+        return project_stack(self, L, G, eta)
+
+    monkeypatch.setattr(type(t), "project_stack", recording)
+    return rates
+
+
+@pytest.mark.parametrize("t, scale", [
+    *((t, s) for t in (MulticlassTask(3), OrdinalTask(5), ChainTask(4, 3)) for s in (0.3, 3.0, 30.0)),
+    # rankings keep the worst-case step; steeper scores stall Sinkhorn
+    (RankingTask(3), 0.03),
+], ids=lambda x: getattr(x, "kind", str(x)))
+def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, scale):
+    # 64 random rows; on chains some fail the criterion even at the
+    # worst-case step, which is accepted, so every round ends
+    V = np.random.default_rng(3).normal(size=(64, t.embed_dim)) * scale
+    rates = _recorded_rates(monkeypatch, t)
+    K = 40
+    out = spmp_solve_batch_simplex(V, t, K, None, None, True)
+    # projection rates are steps times the entropy range
+    steps = np.array(rates) / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
+    assert len(steps) >= 2 * K and steps.shape[1] == 128
+    # each column's step is a power of two from 2**10 down to 1, shared by
+    # the row's two players, and never grows
+    assert np.all(steps >= 1.0) and np.all(steps <= 2.0 ** 10)
+    assert np.array_equal(np.exp2(np.round(np.log2(steps))), steps)
+    assert np.array_equal(steps[:, :64], steps[:, 64:])
+    assert np.all(np.diff(steps, axis=0) <= 0)
+    assert steps[0, 0] == t.adaptive_start
+    for x in out:
+        t.check_state(x)
+
+
+def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):
+    # with the criterion failing everywhere, each round is redone until
+    # every row is at the worst-case step, then accepted
+    t = ChainTask(3, 2)
+    monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
+    rates = _recorded_rates(monkeypatch, t)
+    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 2, None, None, True)
+    steps = np.array(rates)[:, 0] / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
+    assert list(steps) == [2.0 ** (10 - j // 2) for j in range(22)] + [1.0, 1.0]
+
+
+def _hand_rolled_adaptive(t, v, K):
+    """The adaptive rounds for one vector, with one-vector projections and exact logs."""
+    worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
+    rate = 2.0 ** 10 * worst
+    tol = 4 * t.embed_dim * oracle._FLOOR_SLACK
+
+    def D(p, q):
+        col = [np.log(p)[:, None], p[:, None], np.log(q)[:, None], q[:, None]]
+        return float(t.bregman(*col)[0])
+
+    x = (t.uniform_state(), t.uniform_state())
+    sums = [np.zeros(t.embed_dim), np.zeros(t.embed_dim)]
+    for _ in range(K):
+        gx = (t.apply_loss_matrix(x[1]) + v, -t.apply_loss_matrix(x[0]))
+        while True:
+            y = tuple(project(t, x[j], gx[j], rate) for j in (0, 1))
+            gy = (t.apply_loss_matrix(y[1]) + v, -t.apply_loss_matrix(y[0]))
+            x_new = tuple(project(t, x[j], gy[j], rate) for j in (0, 1))
+            slack = sum(D(x_new[j], y[j]) + D(y[j], x[j]) - rate * (gx[j] - gy[j]) @ (y[j] - x_new[j])
+                        for j in (0, 1))
+            if slack >= -tol or rate <= worst:
+                break
+            rate /= 2
+        for j in (0, 1):
+            sums[j] += y[j]
+        x = x_new
+    return sums[0] / K, sums[1] / K, x[0], x[1]
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(4), ChainTask(3, 2)], ids=lambda t: t.kind)
+def test_adaptive_engine_matches_hand_rolled_rounds(t):
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        v = rng.normal(size=t.embed_dim) * 2.0
+        got = spmp_solve_batch_simplex(v, t, 30, None, None, True)
+        for a, b in zip(got, _hand_rolled_adaptive(t, v, 30)):
+            assert np.max(np.abs(a[0] - b)) < 1e-9
+
+
+def test_adaptive_certificate_beats_the_worst_case_step():
+    # at equal budget, the adaptive steps certify a smaller gap on average
+    t = ChainTask(3, 3)
+    V = np.random.default_rng(4).normal(size=(20, t.embed_dim)) * 3.0
+    mu = np.tile(t.uniform_state(), (20, 1))
+    fixed = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50)[1], V, t)
+    adaptive = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50, None, None, True)[1], V, t)
+    assert adaptive.mean() < fixed.mean()

@@ -315,6 +315,18 @@ def test_sinkhorn_convergence_failure_carries_residual():
     assert exc.value.residual > 0
 
 
+def test_sinkhorn_fails_fast_on_a_row_flushed_to_zero():
+    # exp flushes a whole row of the kernel to zero: no scaling exists, so
+    # the projection raises before its first sweep instead of carrying nan
+    M = 3
+    mu = np.full(M * M, 1.0 / M)
+    grad = np.zeros(M * M)
+    grad[M:2 * M] = -1.0  # row 2, 1000 nats below the rest at eta 1000
+    with pytest.raises(SinkhornConvergenceError) as exc:
+        project_birkhoff_sinkhorn(mu, grad, 1000.0)
+    assert exc.value.residual == np.inf
+
+
 # ---------------------------------------------------------------------------
 # constants
 

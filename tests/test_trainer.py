@@ -3,12 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from maxminsp import trainer
 from maxminsp.datasets import synth_blobs, synth_hmm
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
-from maxminsp.oracle import certified_gap, spmp_solve
-from maxminsp.tasks import ChainTask, MulticlassTask
+from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
+from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask
 from maxminsp.trainer import (
     DualModel,
     TrainConfig,
@@ -211,7 +214,8 @@ def test_chain_training_end_to_end():
 
 def test_chain_dual_gap_matches_per_example_solves():
     # the certified bound must not move when the per-example oracle solves
-    # are replaced by one solve over all examples
+    # are replaced by one solve over all examples: each row keeps its own
+    # adaptive steps
     data, task, kernel = hmm_chain_setup()
     cfg = TrainConfig(passes=1, lam=0.1, spmp_iters=20, gap_oracle_iters=20,
                       seed=0, kernel=kernel)
@@ -222,13 +226,94 @@ def test_chain_dual_gap_matches_per_example_solves():
     E = np.stack([task.embed(y) for y in task.labels()])
     per_example = []
     for i in range(model.n):
-        res = spmp_solve(V[i], task, K=60)
-        upper = np.max(E @ (task.apply_loss_matrix(res.nu_bar) + V[i])) - V[i] @ Phi[i]
+        nu_bar = spmp_solve_batch_simplex(V[i], task, 60, None, None, True)[1][0]
+        upper = np.max(E @ (task.apply_loss_matrix(nu_bar) + V[i])) - V[i] @ Phi[i]
         bayes = np.min(E @ task.apply_loss_matrix(model.dual_mu[i]))
         held = V[i] @ (model.dual_mu[i] - Phi[i]) + bayes
         per_example.append(upper - held)
     gap = dual_gap(model, K_gram=K_gram, oracle_iters=60)
     assert abs(gap - float(np.mean(per_example))) < 1e-12
+
+
+def exact_dual_gaps(model, mu=None):
+    """Per-example gaps max_mu' H_i(mu') - H_i(mu_i), by a linprog LP over label mixtures.
+
+    H_i(mu) = bayes(mu) + v_i . mu with the full loss; the max over the
+    polytope runs over mixtures q of the labels, mu' = E^T q:
+    max_q  min_y (L q)_y + (E v_i) . q.
+    """
+    task = model.task
+    mu = model.dual_mu if mu is None else mu
+    labels = list(task.labels())
+    E = np.stack([task.embed(y) for y in labels])
+    L = np.array([[task.loss(y, z) for z in labels] for y in labels])
+    N = len(labels)
+    coeffs = (mu - model.embedded_labels()) / (model.lam * model.n)
+    V = _scores_from_gram(gram(model.xs, model.kernel), coeffs)
+    gaps = []
+    for v, m in zip(V, mu):
+        # variables (q_1..q_N, t): maximize t + (E v) . q  s.t.  t <= (L q)_y, sum q = 1
+        res = linprog(-np.r_[E @ v, 1.0], A_ub=np.hstack([-L, np.ones((N, 1))]), b_ub=np.zeros(N),
+                      A_eq=np.r_[np.ones(N), 0.0][None, :], b_eq=[1.0],
+                      bounds=[(0, None)] * N + [(None, None)], method="highs")
+        assert res.status == 0, res.message
+        # the Bayes risk of a point of the polytope, with the loss offset
+        bayes = float(np.min(E @ task.apply_loss_matrix(m))) + task.offset
+        gaps.append(-res.fun - bayes - float(v @ m))
+    return np.array(gaps)
+
+
+def _interval_setup(kind, size, M, R, n, scale, seed):
+    """An untrained model on seeded random inputs, with a random state of the polytope."""
+    task = {"multiclass": lambda: MulticlassTask(k=size), "ordinal": lambda: OrdinalTask(k=size),
+            "chain": lambda: ChainTask(M=M, R=R)}[kind]()
+    rng = np.random.default_rng(seed)
+    labels = list(task.labels())
+    ys = [labels[j] for j in rng.integers(len(labels), size=n)]
+    xs = rng.normal(size=(n, 2))
+    model = fresh_model(task, KernelSpec("gaussian", gamma=0.5), xs, ys, lam=1.0 / scale)
+    E = np.stack([task.embed(y) for y in labels])
+    # a state between the observed labels and Dirichlet mixtures of all labels
+    mix = rng.dirichlet(np.full(len(labels), 0.5), size=n) @ E
+    w = rng.uniform(size=(n, 1))
+    return model, w * model.dual_mu + (1 - w) * mix
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(kind=st.sampled_from(["multiclass", "ordinal", "chain"]), size=st.integers(2, 5),
+       M=st.integers(1, 3), R=st.integers(2, 3), n=st.integers(1, 5),
+       scale=st.sampled_from([0.3, 3.0, 30.0]), K=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed):
+    model, mu = _interval_setup(kind, size, M, R, n, scale, seed)
+    lower = np.empty(1)
+    upper = dual_gap(model, oracle_iters=K, mu=mu, lower=lower)
+    exact = float(np.mean(exact_dual_gaps(model, mu)))
+    tol = 1e-7 * (1.0 + abs(exact))
+    assert lower[0] <= exact + tol
+    assert exact <= upper + tol
+    # the lower end is H_i(mu_bar_i) - H_i(mu_i), with H_i by label enumeration
+    task = model.task
+    V = _scores_from_gram(gram(model.xs, model.kernel), (mu - model.embedded_labels()) / (model.lam * n))
+    mu_bar = spmp_solve_batch_simplex(V, task, K, None, None, True)[0]
+    E = np.stack([task.embed(y) for y in task.labels()])
+
+    def H(m):
+        return np.min(m @ task.apply_loss_matrix(E).T, axis=1) + np.einsum("ij,ij->i", V, m)
+
+    assert lower[0] == pytest.approx(float(np.mean(H(mu_bar) - H(mu))), rel=1e-9, abs=1e-12)
+
+
+def test_hmm_chain_certified_gap_within_one_percent():
+    # the benchmark's hmm-chain training: the certified gap at gap K=100
+    # lies within 1% of the exact LP gap (6% at the worst-case step)
+    ds, _, _ = synth_hmm(n=3, M=4, R=3, seed=0)
+    task = ChainTask(M=4, R=3)
+    cfg = TrainConfig(passes=2, lam=0.1, spmp_iters=20, gap_oracle_iters=100,
+                      kernel=KernelSpec("gaussian", median_heuristic(ds.xs)))
+    model, report = gbcfw_train((ds.xs, ds.ys), task, cfg)
+    exact = float(np.mean(exact_dual_gaps(model)))
+    final = report.records[-1]
+    assert final["dual_gap_lower"] <= exact <= final["dual_gap"] <= 1.01 * exact
 
 
 def _certified_setups():
