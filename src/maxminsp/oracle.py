@@ -12,12 +12,15 @@ leading axes.  The projections pass log-iterates on, so the engine takes
 one log per call.  It transposes the scores once on entry and splits its
 results, in probabilities, into (B, dim) player stacks on return, so the
 column stack never leaves it.  The polytope enters only through the task: its
-`project_stack`, `apply_loss_matrix`, `check_state`, `l_spmp` and `r2`,
-and for adaptive steps its `bregman` and `adaptive_start`.
+`project_stack`, `apply_loss_matrix`, `check_state`, `score_stack`, `l_spmp`
+and `r2`, and for adaptive steps its `bregman` and `adaptive_start`.
 
-Rounds run at a fixed step, except in dual-gap certification, which asks
-for adaptive steps; the certificate is exact at any iterate, so steps move
-how tight a bound is, never whether it holds.  `spmp_solve` is one
+Every call runs one round loop, at a fixed step except in dual-gap
+certification, which asks for adaptive steps: while some row's step is
+above the worst-case one, each round is checked against the local
+criterion, at one Bregman divergence per column, and redone at half the
+step for the rows that fail it.  The certificate is exact at any iterate,
+so steps move how tight a bound is, never whether it holds.  `spmp_solve` is one
 fixed-step engine call on one vector plus its certificate.  The trainer
 calls the engine itself, once per block update, and certifies a whole
 training afterwards: `trainer.dual_gap` makes one adaptive engine call
@@ -61,10 +64,11 @@ def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> 
     F(nu, mu) = nu^T A mu + v^T mu; the upper side is one max-oracle call
     at A nu + v, the lower side v^T mu plus the task's centred Bayes term
     `bayes_risk(mu)`.  Loss offsets cancel.  mu, nu and v are one vector
-    each or (B, k) stacks, mu and nu checked against the polytope; returns
-    B gaps.
+    each or (B, k) stacks, mu and nu checked against the polytope and v
+    by `score_stack`; returns B gaps.
     """
-    mu, nu, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu, v))
+    mu, nu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu))
+    v = task.score_stack(v)
     task.check_state(nu)
     upper = task.max_oracle(task.apply_loss_matrix(nu) + v)
     lower = np.einsum("ij,ij->i", v, mu) + task.bayes_risk(mu)
@@ -93,14 +97,14 @@ def spmp_solve_batch_simplex(
     or B rows each; it is floored and checked against the polytope.
 
     adaptive gives each row its own step, starting at the task's
-    `adaptive_start` times eta (2**10; rankings keep eta).  A round
-    is redone with the step halved for every row that fails Nemirovski's
-    local criterion  rate <G(X) - G(Y), Y - X+> <= D(X+, Y) + D(Y, X)
-    (G the ascent direction, D the task's `bregman`, both players summed);
-    eta itself is always accepted, so steps never fall below it and never
-    grow.  The half-step points are averaged as at a fixed step.  The
-    criterion reuses the projections' log-iterates and makes no projection
-    of its own; a row's steps depend on that row alone.
+    `adaptive_start` times eta (2**10; rankings keep eta).  Every call runs
+    the same rounds; while some row's step is above eta, a round is redone
+    with the step halved for every row that fails Nemirovski's local
+    criterion (see `_rejected`), and once every row is at eta the call
+    checks no more.  eta itself is always accepted, so steps never fall
+    below it and never grow; fixed-step calls never check.  The check
+    reuses the projections' log-iterates and makes no projection of its
+    own; a row's steps depend on that row alone.
 
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates and the final full-step iterates, as C-contiguous (B, dim)
@@ -109,10 +113,8 @@ def spmp_solve_batch_simplex(
     """
     if K < 1:
         raise ValueError("iteration budget must be >= 1")
-    V = np.atleast_2d(np.asarray(V, dtype=float))
     # finite scores and iterates inside the polytope keep every gradient finite
-    if not np.all(np.isfinite(V)):
-        raise LayoutError("non-finite scores")
+    V = task.score_stack(V)
     B = V.shape[0]
     rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
     apply_a = task.apply_loss_matrix
@@ -141,41 +143,32 @@ def spmp_solve_batch_simplex(
 
         return grad
 
-    # one gradient buffer: each projection reads it before the next grad call
-    grad = gradient(np.empty_like(X))
-    # a task that starts at the worst-case step keeps it, with no checks
-    adaptive = adaptive and task.adaptive_start > 1
-    if adaptive:
-        # one rate per column, a row's two players sharing its step
-        step = np.full(2 * B, rate * task.adaptive_start)
-        # the gradient at X is kept while the round is redone
-        grad_half = gradient(np.empty_like(X))
-
-        def adaptive_round(L, X):
-            G_x = grad(X)
-            while True:
-                L_half, X_half = proj(L, G_x, step)
-                G_y = grad_half(X_half)
-                L_new, X_new = proj(L, G_y, step)
-                redo = _rejected(task, step, rate, G_x, G_y, (L, X), (L_half, X_half), (L_new, X_new))
-                if not redo.any():
-                    return L_half, X_half, L_new, X_new
-                step[np.concatenate([redo, redo])] *= 0.5
-
+    # the gradient at X is kept while a round is redone
+    grad_x, grad_y = gradient(np.empty_like(X)), gradient(np.empty_like(X))
+    # one step per column while checking, a row's two players sharing it
+    step = np.full(2 * B, rate * task.adaptive_start) if adaptive else rate
+    check = adaptive
     X_sum = np.zeros_like(X)
-    for it in range(K):
-        try:
-            if adaptive:
-                L_half, X_half, L, X = adaptive_round(L, X)
-            else:
-                L_half, X_half = proj(L, grad(X), rate)
-                L, X = proj(L, grad(X_half), rate)
-        except SinkhornConvergenceError as exc:
-            player = "max" if exc.row < B else "min"
-            raise RuntimeError(
-                f"projection failed at iteration {it} ({player} player): {exc}"
-            ) from exc
-        X_sum += X_half
+    try:
+        for it in range(K):
+            G_x = grad_x(X)
+            while True:
+                if check and not (step > rate).any():
+                    check, step = False, rate
+                L_half, X_half = proj(L, G_x, step)
+                G_y = grad_y(X_half)
+                L_new, X_new = proj(L, G_y, step)
+                if not check:
+                    break
+                redo = _rejected(task, step, rate, G_y, (L, X), X_half, (L_new, X_new))
+                if not redo.any():
+                    break
+                step[np.concatenate([redo, redo])] *= 0.5
+            L, X = L_new, X_new
+            X_sum += X_half
+    except SinkhornConvergenceError as exc:
+        player = "max" if exc.row < B else "min"
+        raise RuntimeError(f"projection failed at iteration {it} ({player} player): {exc}") from exc
     X_sum /= K
     X_bar, X = X_sum.T.copy(), X.T.copy()
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
@@ -186,18 +179,23 @@ def spmp_solve_batch_simplex(
 _FLOOR_SLACK = PROB_FLOOR * -math.log(PROB_FLOOR)
 
 
-def _rejected(task: Task, rates, floor: float, G_x, G_y, X, Y, X_new) -> np.ndarray:
+def _rejected(task: Task, rates, floor: float, G_y, X, Y, X_new) -> np.ndarray:
     """Rows whose round fails the local criterion at a step above floor.
 
-    rates holds each column's step; X, Y and X_new are (L, P) pairs of the
-    round's start, half-step and full-step column stacks.
+    Nemirovski's criterion  rate <G(X) - G(Y), Y - X+> <= D(X+, Y) + D(Y, X)
+    (G the ascent direction, D the task's `bregman`, both players summed)
+    is taken in its three-point form: the slack  D(X+, X) - rate <G(Y),
+    X+ - Y>  equals  D(X+, Y) + D(Y, X) - rate <G(X) - G(Y), Y - X+>
+    wherever the projection is exact, at one divergence per column.
+    rates holds each column's step; X and X_new are (L, P) pairs of the
+    round's start and full-step column stacks, Y the half-step points and
+    G_y the gradient there, which is overwritten.
     """
     B = len(rates) // 2
-    # G_y is recomputed before its next use
-    dG = np.subtract(G_x, G_y, out=G_y)
-    dG *= Y[1] - X_new[1]
-    slack = task.bregman(*X_new, *Y) + task.bregman(*Y, *X) - rates * dG.sum(axis=0)
-    # four divergences of dim entries per row: the floor's error is no failure
+    G_y *= X_new[1] - Y
+    slack = task.bregman(*X_new, *X) - rates * G_y.sum(axis=0)
+    # the two-divergence slack it equals allows the floor's error in four
+    # divergences of dim entries per row: that is no failure
     return (slack[:B] + slack[B:] < -4 * task.embed_dim * _FLOOR_SLACK) & (rates[:B] > floor)
 
 

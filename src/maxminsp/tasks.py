@@ -142,7 +142,7 @@ class Task:
         return val + self.offset
 
     # -- decoding --------------------------------------------------------
-    def _score_stack(self, S) -> np.ndarray:
+    def score_stack(self, S) -> np.ndarray:
         """S as a (B, embed_dim) stack of finite scores, else LayoutError."""
         S = np.atleast_2d(np.asarray(S, dtype=float))
         if S.ndim != 2 or S.shape[1] != self.embed_dim:
@@ -156,12 +156,12 @@ class Task:
 
         One vector gives one label; a (B, k) stack gives a list of B labels.
         """
-        labels = self._decode_stack(self._score_stack(v))
+        labels = self._decode_stack(self.score_stack(v))
         return labels if np.ndim(v) == 2 else labels[0]
 
     def max_oracle(self, S: np.ndarray) -> np.ndarray:
         """max_y phi(y)^T s for each row s of a (B, k) score stack."""
-        return self._max_stack(self._score_stack(S))
+        return self._max_stack(self.score_stack(S))
 
     def _decode_stack(self, S: np.ndarray) -> list:
         """Labels of the rows of a checked score stack."""

@@ -229,6 +229,19 @@ def test_invalid_warm_start_rejected(t):
         spmp_solve(np.zeros(t.embed_dim), t, init=(bad, t.uniform_state()), K=5)
 
 
+@pytest.mark.parametrize("t", [MulticlassTask(3), ChainTask(3, 2), RankingTask(3)], ids=lambda t: t.kind)
+def test_bad_score_stacks_rejected(t):
+    # a wrong width, a 3-D stack and a NaN score, at both entries
+    mu = np.tile(t.uniform_state(), (2, 1))
+    nan = np.zeros((2, t.embed_dim))
+    nan[1, 0] = np.nan
+    for V in (np.zeros((2, t.embed_dim + 1)), np.zeros((2, 2, t.embed_dim)), nan):
+        with pytest.raises(LayoutError):
+            spmp_solve_batch_simplex(V, t, 3)
+        with pytest.raises(LayoutError):
+            certified_gap(mu, mu, V, t)
+
+
 def test_batch_matches_single_solves():
     t = OrdinalTask(k=4)
     rng = np.random.default_rng(8)
@@ -353,6 +366,45 @@ def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):
     assert list(steps) == [2.0 ** (10 - j // 2) for j in range(22)] + [1.0, 1.0]
 
 
+def _counted_bregman(monkeypatch, t):
+    """Calls of the task's bregman are counted, one entry each."""
+    calls = []
+    bregman = type(t).bregman
+
+    def counting(self, *args):
+        calls.append(1)
+        return bregman(self, *args)
+
+    monkeypatch.setattr(type(t), "bregman", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(5), ChainTask(1, 3), ChainTask(4, 3),
+                               RankingTask(3)], ids=lambda t: f"{t.kind}{t.embed_dim}")
+def test_fixed_steps_never_check_the_criterion(monkeypatch, t):
+    # block updates (warm started), calibration's step and spmp_solve; and
+    # rankings, whose adaptive steps start at the worst-case step
+    calls = _counted_bregman(monkeypatch, t)
+    V = np.random.default_rng(5).normal(size=(7, t.embed_dim)) * (0.03 if t.kind == "ranking" else 2.0)
+    out = spmp_solve_batch_simplex(V, t, 20)
+    spmp_solve_batch_simplex(V, t, 20, t.certify_eta, (out[2], out[3]))
+    spmp_solve(V[0], t, K=20)
+    if t.kind == "ranking":
+        spmp_solve_batch_simplex(V, t, 20, None, None, True)
+    assert calls == []
+
+
+def test_criterion_runs_only_above_the_worst_case_step(monkeypatch):
+    # with the criterion failing everywhere, the first round is checked once
+    # at each step from 2**10 down to 2, one divergence per check; no round
+    # at the worst-case step is checked
+    t = ChainTask(3, 2)
+    monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
+    calls = _counted_bregman(monkeypatch, t)
+    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 40, None, None, True)
+    assert len(calls) == 10
+
+
 def _hand_rolled_adaptive(t, v, K):
     """The adaptive rounds for one vector, with one-vector projections and exact logs."""
     worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
@@ -382,11 +434,22 @@ def _hand_rolled_adaptive(t, v, K):
     return sums[0] / K, sums[1] / K, x[0], x[1]
 
 
-@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(4), ChainTask(3, 2)], ids=lambda t: t.kind)
-def test_adaptive_engine_matches_hand_rolled_rounds(t):
+def _hand_rolled_cases():
+    """Six tasks at score scales 0.3, 2 and 30; the first three at scale 2 are named by kind."""
+    first = (MulticlassTask(3), OrdinalTask(4), ChainTask(3, 2))
+    cases = [pytest.param(t, 2.0, id=t.kind) for t in first]
+    for t in first + (OrdinalTask(6), ChainTask(1, 3), ChainTask(4, 3)):
+        cases += [pytest.param(t, s, id=f"{t.kind}{t.embed_dim}-{s}")
+                  for s in (0.3, 2.0, 30.0) if t not in first or s != 2.0]
+    return cases
+
+
+@pytest.mark.parametrize("t, scale", _hand_rolled_cases())
+def test_adaptive_engine_matches_hand_rolled_rounds(t, scale):
+    # the reference checks the criterion in its two-divergence form
     rng = np.random.default_rng(14)
     for _ in range(3):
-        v = rng.normal(size=t.embed_dim) * 2.0
+        v = rng.normal(size=t.embed_dim) * scale
         got = spmp_solve_batch_simplex(v, t, 30, None, None, True)
         for a, b in zip(got, _hand_rolled_adaptive(t, v, 30)):
             assert np.max(np.abs(a[0] - b)) < 1e-9
