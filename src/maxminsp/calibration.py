@@ -36,14 +36,15 @@ class CalibrationEstimate:
     witnesses: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _excess_task_risk(task: Task, scores: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _excess_task_risk(task: Task, S: np.ndarray, Mu: np.ndarray) -> np.ndarray:
     """delta_l = risk of the decoded label under mu minus the Bayes risk.
 
-    scores and mu are one vector each or (B, k) stacks; returns B values.
+    S and Mu are one vector each or (k, B) column stacks of scores and
+    moments; returns B values.
     """
-    S, Mu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (scores, mu))
-    decoded = np.stack([task.embed(y) for y in task.decode(S)])
-    return np.einsum("ij,ij->i", decoded, task.apply_loss_matrix(Mu)) - task.bayes_risk(Mu)
+    S, Mu = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (S, Mu))
+    decoded = np.stack([task.embed(y) for y in task.decode(S)], axis=1)
+    return np.einsum("ij,ij->j", decoded, task.apply_loss_matrix(Mu)) - task.bayes_risk(Mu)
 
 
 def zeta_bruteforce(
@@ -85,10 +86,10 @@ def zeta_bruteforce(
 
     def inner_min(Mu):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
-        return np.einsum("ij,ij->i", V, Mu) + task.bayes_risk(Mu)
+        return np.einsum("ij,ij->i", V, Mu) + task.bayes_risk(np.ascontiguousarray(Mu.T))
 
     ds = inner_min(mu_bars) - inner_min(Mus)
-    dl = _excess_task_risk(task, V, Mus)
+    dl = _excess_task_risk(task, np.ascontiguousarray(V.T), np.ascontiguousarray(Mus.T))
 
     estimate = CalibrationEstimate(zeta_lower={})
     for eps in eps_grid:
@@ -117,7 +118,7 @@ def constant_c(task: Task, samples: int = 50000, seed: int = 0) -> float:
         return float(math.factorial(task.M))
     E = np.stack([task.embed(y) for y in task.labels()])
     n = len(E)
-    loss = E @ task.apply_loss_matrix(E).T + task.offset
+    loss = E @ task.apply_loss_matrix(E.T) + task.offset
     rng = np.random.default_rng(seed)
     worst = 1.0
     for alpha_conc in (1.0, 0.3, 3.0):

@@ -284,7 +284,10 @@ def synth_ordinal(n: int, k: int = 5, d: int = 2, noise: float = 0.8, seed: int 
 
 def synth_hmm(n: int, M: int = 4, R: int = 3, d: int = 2, stay: float = 0.7,
               emit_sep: float = 2.0, seed: int = 0) -> tuple[Dataset, list, float]:
-    """Hidden Markov sequences; Bayes per position via forward-backward."""
+    """Hidden Markov sequences; Bayes per position via forward-backward.
+
+    Each sequence draws M uniforms, which pick its states by inverse
+    transform as `rng.choice` does, then its (M, d) emission noise."""
     task = ChainTask(M, R)
     rng = np.random.default_rng(seed)
     T = np.full((R, R), (1.0 - stay) / (R - 1))
@@ -295,34 +298,34 @@ def synth_hmm(n: int, M: int = 4, R: int = 3, d: int = 2, stay: float = 0.7,
     )
     if d > 2:
         means = np.hstack([means, np.zeros((R, d - 2))])
-    xs, ys, bayes = [], [], []
-    errs = 0
-    for _ in range(n):
-        states = [int(rng.choice(R, p=pi))]
-        for _ in range(M - 1):
-            states.append(int(rng.choice(R, p=T[states[-1]])))
-        obs = means[states] + rng.normal(size=(M, d))
-        # forward-backward posteriors under the true model
-        like = np.exp(-0.5 * ((obs[:, None, :] - means[None, :, :]) ** 2).sum(axis=2))
-        alpha = np.zeros((M, R))
-        alpha[0] = pi * like[0]
-        alpha[0] /= alpha[0].sum()
-        for m in range(1, M):
-            alpha[m] = like[m] * (alpha[m - 1] @ T)
-            alpha[m] /= alpha[m].sum()
-        beta = np.ones((M, R))
-        for m in range(M - 2, -1, -1):
-            beta[m] = T @ (like[m + 1] * beta[m + 1])
-            beta[m] /= beta[m].sum()
-        post = alpha * beta
-        post /= post.sum(axis=1, keepdims=True)
-        pred = post.argmax(axis=1)
-        errs += int(np.sum(pred != np.array(states)))
-        xs.append(obs.ravel())
-        ys.append(tuple(s + 1 for s in states))
-        bayes.append(tuple(int(p) + 1 for p in pred))
-    risk = errs / (n * M)
-    return Dataset(np.array(xs), ys, task.kind, {"M": M, "R": R}), bayes, risk
+    U, noise = np.empty((n, M)), np.empty((n, M, d))
+    for i in range(n):
+        U[i], noise[i] = rng.random(M), rng.normal(size=(M, d))
+    # row 0 is the initial distribution, row r+1 the transitions from r
+    cdf = np.cumsum(np.vstack([pi, T]), axis=1)
+    cdf /= cdf[:, -1:]
+    states = np.zeros((n, M), dtype=np.intp)
+    for m in range(M):
+        # searchsorted(cdf, u, side="right"): the count of cdf entries <= u
+        prev = states[:, m - 1] + 1 if m else 0
+        states[:, m] = (cdf[prev] <= U[:, m, None]).sum(axis=-1)
+    obs = means[states] + noise
+    # forward-backward posteriors under the true model, all sequences at once
+    like = np.exp(-0.5 * ((obs[:, :, None, :] - means) ** 2).sum(axis=3))
+    alpha, beta = np.empty((n, M, R)), np.ones((n, M, R))
+    for m in range(M):
+        alpha[:, m] = like[:, m] * (alpha[:, m - 1] @ T if m else pi)
+        alpha[:, m] /= alpha[:, m].sum(axis=1, keepdims=True)
+    for m in range(M - 2, -1, -1):
+        beta[:, m] = (like[:, m + 1] * beta[:, m + 1]) @ T.T
+        beta[:, m] /= beta[:, m].sum(axis=1, keepdims=True)
+    post = alpha * beta
+    post /= post.sum(axis=2, keepdims=True)
+    pred = post.argmax(axis=2)
+    risk = int(np.sum(pred != states)) / (n * M)
+    ys = [tuple(y) for y in (states + 1).tolist()]
+    bayes = [tuple(y) for y in (pred + 1).tolist()]
+    return Dataset(obs.reshape(n, M * d), ys, task.kind, {"M": M, "R": R}), bayes, risk
 
 
 def synth_ranking(n: int, M: int = 4, d: int = 3, noise: float = 0.5, seed: int = 0) -> tuple[Dataset, list, float]:

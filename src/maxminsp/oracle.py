@@ -5,15 +5,15 @@ mirror steps and certifies the duality gap exactly with one call each to
 the task's max oracle and Bayes term (`certified_gap`, over one vector or
 a stack).  One engine, `spmp_solve_batch_simplex`, serves every task and
 batch size, and every caller enters through it: it solves a (B, dim) stack
-of score vectors at once, and since both players live on the same polytope it keeps
-them as one C-contiguous (dim, 2B) column stack, so each half-step is one
-apply-A and one projection call, and the projection kernels reduce over
-leading axes.  The projections pass log-iterates on, so the engine takes
-one log per call.  It transposes the scores once on entry and splits its
-results, in probabilities, into (B, dim) player stacks on return, so the
-column stack never leaves it.  The polytope enters only through the task: its
-`project_stack`, `apply_loss_matrix`, `check_state`, `score_stack`, `l_spmp`
-and `r2`, and for adaptive steps its `bregman` and `adaptive_start`.
+of score vectors at once, keeping both players, which share the polytope,
+as one C-contiguous (dim, 2B) column stack, so each half-step is one
+apply-A and one projection call on it.  The projections pass log-iterates
+on, so the engine takes one log per call.  One layout rule (see `tasks`):
+Task methods take column stacks, and this module's functions keep (B, dim)
+rows, each transposing once inside, so the column stack never leaves the
+engine.  The polytope enters only through the task: its `project_stack`,
+`apply_loss_matrix`, `check_state`, `score_stack`, `l_spmp` and `r2`, and
+for adaptive steps its `bregman` and `adaptive_start`.
 
 Every call runs one round loop, at a fixed step except in dual-gap
 certification, which asks for adaptive steps: while some row's step is
@@ -64,14 +64,14 @@ def certified_gap(mu: np.ndarray, nu: np.ndarray, v: np.ndarray, task: Task) -> 
     F(nu, mu) = nu^T A mu + v^T mu; the upper side is one max-oracle call
     at A nu + v, the lower side v^T mu plus the task's centred Bayes term
     `bayes_risk(mu)`.  Loss offsets cancel.  mu, nu and v are one vector
-    each or (B, k) stacks, mu and nu checked against the polytope and v
+    each or (B, k) row stacks, mu and nu checked against the polytope and v
     by `score_stack`; returns B gaps.
     """
-    mu, nu = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu))
-    v = task.score_stack(v)
-    task.check_state(nu)
-    upper = task.max_oracle(task.apply_loss_matrix(nu) + v)
-    lower = np.einsum("ij,ij->i", v, mu) + task.bayes_risk(mu)
+    mu, nu, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (mu, nu, v))
+    muT, nuT, vT = (np.ascontiguousarray(x.T) for x in (mu, nu, v))
+    task.check_state(nuT)
+    upper = task.max_oracle(task.apply_loss_matrix(nuT) + task.score_stack(vT))
+    lower = np.einsum("ij,ij->i", v, mu) + task.bayes_risk(muT)
     return upper - lower
 
 
@@ -87,10 +87,10 @@ def spmp_solve_batch_simplex(
 
     The iterate is one C-contiguous (dim, 2B) column stack X: columns :B
     are the max players mu, columns B: the min players nu.  Each projection
-    steps from the log-iterate L and returns the next L with X.  A is applied
-    through the task's row API on the transposed view X.T.  A round takes
-    a half-step Y from X with the gradient at X and a full step X+ from X
-    with the gradient at Y; the half-step points are averaged.  The default eta
+    steps from the log-iterate L and returns the next L with X, and A is
+    applied to X itself.  A round takes a half-step Y from X with the
+    gradient at X and a full step X+ from X with the gradient at Y; the
+    half-step points are averaged.  The default eta
     is 1/(2 l_spmp) for the task's smoothness constant; the projection rate is
     scaled by the entropy range so the step matches a mirror map
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
@@ -114,12 +114,12 @@ def spmp_solve_batch_simplex(
     if K < 1:
         raise ValueError("iteration budget must be >= 1")
     # finite scores and iterates inside the polytope keep every gradient finite
-    V = task.score_stack(V)
-    B = V.shape[0]
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    VT = task.score_stack(np.ascontiguousarray(V.T))
+    B = len(V)
     rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
     apply_a = task.apply_loss_matrix
     proj = task.project_stack
-    VT = np.ascontiguousarray(V.T)
     if init is None:
         X = np.tile(task.uniform_state()[:, None], (1, 2 * B))
     else:
@@ -127,8 +127,8 @@ def spmp_solve_batch_simplex(
             X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
         except ValueError:
             raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
-        task.check_state(X)
         X = X.T.copy()
+        task.check_state(X)
     L = np.log(X)
 
     def gradient(G):
@@ -136,7 +136,7 @@ def spmp_solve_batch_simplex(
         G_max, G_min = G[:, :B], G[:, B:]
 
         def grad(X):
-            AX = apply_a(X.T).T
+            AX = apply_a(X)
             np.add(AX[:, B:], VT, G_max)
             np.negative(AX[:, :B], G_min)
             return G

@@ -154,7 +154,7 @@ def _sinkhorn_stack(
     # a row or column that exp flushed to zero admits no scaling at all
     empty = ~(K.any(axis=1).all(axis=0) & K.any(axis=0).all(axis=0))
     if empty.any():
-        raise SinkhornConvergenceError(math.inf, 0, int(np.argmax(empty)))
+        raise SinkhornConvergenceError(math.inf, 0, int(np.argmax(empty, axis=0)))
 
     residual = np.full(B, np.inf)
     active = np.arange(B)
@@ -176,7 +176,7 @@ def _sinkhorn_stack(
             Ka = K[..., active]
     else:
         K[..., active] = Ka
-        worst = int(np.argmax(residual))
+        worst = int(np.argmax(residual, axis=0))
         if not residual[worst] <= 10 * tol:  # also a nan residual
             raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
     P = np.maximum(K.reshape(M * M, B), PROB_FLOOR)

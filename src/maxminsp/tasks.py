@@ -5,30 +5,25 @@ the affine form  L(y, y') = phi(y)^T A phi(y') + a  with a structured matrix
 A (dense for multiclass/ordinal, block-diagonal unary blocks for chains,
 -I/M for rankings).  Optimization always runs on the centered bilinear part;
 the offset `a` is re-added whenever a human-readable loss or risk is
-reported.
+reported.  Each task also owns its marginal polytope: the stack projection
+under the polytope's entropy, that entropy's Bregman divergence (`bregman`,
+which the solver's adaptive steps check against) and the constants that
+set the saddle solver's step.
 
-Each task also owns its marginal polytope: the stack projection under the
-polytope's entropy, that entropy's Bregman divergence (`bregman`, which
-the solver's adaptive steps check against) and the constants that set
-the saddle solver's step.
-`project_stack` serves the solver engine and takes and returns (dim, B)
-column stacks of log-iterates, floored at log(PROB_FLOOR); the other methods
-on points and scores take one vector or a (B, dim) stack of rows, in
-probabilities, and `check_state` checks a whole stack at once.
-
-Decoding and the max oracle run on stacks of scores.  `decode` takes one
-score vector and returns one label, or a (B, k) stack and returns a list of
-B labels, the lowest label winning ties.  `max_oracle` returns
-max_y phi(y)^T s for each row of a stack, computed by each task without
-decoding; every certified gap and bound is built on it.  Both check the
-stack once and then call the task's unchecked kernels.  On chains the
-kernels, and `check_state`, work on one C-contiguous transposed copy of the
-(B, dim) stack, viewed by `ChainTask.split` as (M, R, B) unary and
-(M-1, R, R, B) pairwise blocks, so every max, argmax and sum runs over a
-leading axis, as in the projection kernels.  `bayes_risk` is
-the stacked, centred Bayes term min_y phi(y)^T A mu, one value per row of
-a checked stack of points (add `offset` for the risk itself); every dual
-objective, certified gap and calibration estimate uses it.
+One layout rule: Task methods take columns, module-level functions keep
+rows.  Every stack method takes one vector or a (dim, B) column stack,
+column b one point, and returns columns; C-contiguous stacks are the fast
+ones.  A stack whose leading axis is not dim raises LayoutError, so a (B,
+dim) row stack fails unless B = dim.  Every max, argmax and sum then runs
+over a leading axis, as in the projection kernels; `ChainTask.split` views
+a chain stack as (M, R, B) unary and (M-1, R, R, B) pairwise blocks.
+`project_stack` steps from log-iterates floored at log(PROB_FLOOR); the
+other methods take probabilities.  `decode` returns one label per column,
+the lowest label winning ties; `max_oracle` returns max_y phi(y)^T s per
+column without decoding, and every certified gap and bound is built on
+it.  Both check the stack once (`score_stack`) and then call the task's
+unchecked kernels.  `bayes_risk` is the centred Bayes term min_y phi(y)^T
+A mu of a checked stack of points (add `offset` for the risk itself).
 """
 
 from __future__ import annotations
@@ -82,6 +77,15 @@ def _kl_stack(L, P, L_ref, P_ref) -> np.ndarray:
     return D.sum(axis=0) - (L[0] - L_ref[0]) + np.log(P[0] / P_ref[0])
 
 
+def _first_argmax(C: np.ndarray) -> np.ndarray:
+    """Index of the first maximum down each column of C, by a running comparison."""
+    best, idx = C[0].copy(), np.zeros(C.shape[1:], dtype=np.intp)
+    for r in range(1, len(C)):
+        np.putmask(idx, C[r] > best, r)
+        np.maximum(best, C[r], out=best)
+    return idx
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: a cached array is shared by every caller."""
     a.flags.writeable = False
@@ -126,12 +130,7 @@ class Task:
 
     # -- loss ------------------------------------------------------------
     def apply_loss_matrix(self, mu: np.ndarray) -> np.ndarray:
-        """A @ mu for the centered loss matrix (A is symmetric here).
-
-        A (B, k) stack of points maps row by row to a (B, k) stack, in any
-        memory order: the solver engine passes the transposed view of a
-        column stack.
-        """
+        """A @ mu for the centered loss matrix, for one point or each column of a stack."""
         raise NotImplementedError
 
     def loss(self, y, y2) -> float:
@@ -142,11 +141,16 @@ class Task:
         return val + self.offset
 
     # -- decoding --------------------------------------------------------
+    def _columns(self, X) -> np.ndarray:
+        """X as an array, one vector or a (embed_dim, B) column stack, else LayoutError."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or len(X) != self.embed_dim:
+            raise LayoutError(f"expected columns of dim {self.embed_dim}, got shape {X.shape}")
+        return X
+
     def score_stack(self, S) -> np.ndarray:
-        """S as a (B, embed_dim) stack of finite scores, else LayoutError."""
-        S = np.atleast_2d(np.asarray(S, dtype=float))
-        if S.ndim != 2 or S.shape[1] != self.embed_dim:
-            raise LayoutError(f"expected score rows of dim {self.embed_dim}, got shape {S.shape}")
+        """S as a (embed_dim, B) column stack of finite scores, else LayoutError."""
+        S = self._columns(S).reshape(self.embed_dim, -1)
         if not np.all(np.isfinite(S)):
             raise LayoutError("non-finite scores")
         return S
@@ -154,25 +158,25 @@ class Task:
     def decode(self, v: np.ndarray):
         """argmax_y phi(y)^T v, ties broken by lowest lexicographic label.
 
-        One vector gives one label; a (B, k) stack gives a list of B labels.
+        One vector gives one label; a (k, B) stack gives a list of B labels.
         """
         labels = self._decode_stack(self.score_stack(v))
         return labels if np.ndim(v) == 2 else labels[0]
 
     def max_oracle(self, S: np.ndarray) -> np.ndarray:
-        """max_y phi(y)^T s for each row s of a (B, k) score stack."""
+        """max_y phi(y)^T s for each column s of a (k, B) score stack."""
         return self._max_stack(self.score_stack(S))
 
     def _decode_stack(self, S: np.ndarray) -> list:
-        """Labels of the rows of a checked score stack."""
+        """Labels of the columns of a checked score stack."""
         raise NotImplementedError
 
     def _max_stack(self, S: np.ndarray) -> np.ndarray:
-        """Max-oracle values of the rows of a checked score stack."""
+        """Max-oracle values of the columns of a checked score stack."""
         raise NotImplementedError
 
     def bayes_risk(self, mu: np.ndarray) -> np.ndarray:
-        """min_y phi(y)^T A mu, without the offset, for each row of a checked point or stack."""
+        """min_y phi(y)^T A mu, without the offset, for each column of a checked point or stack."""
         self.check_state(mu)
         return -self.max_oracle(-self.apply_loss_matrix(mu))
 
@@ -182,19 +186,9 @@ class Task:
         raise NotImplementedError
 
     def check_state(self, mu: np.ndarray) -> None:
-        """Validate the polytope layout invariants of mu.
-
-        mu is one vector or a (B, dim) stack, checked in one pass; any bad
-        row raises LayoutError.
-        """
+        """Check the polytope invariants of one point or a stack in one pass:
+        any bad column raises LayoutError."""
         raise NotImplementedError
-
-    def _state_stack(self, mu: np.ndarray) -> np.ndarray:
-        """mu as a (B, embed_dim) stack, else LayoutError."""
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim not in (1, 2) or mu.shape[-1] != self.embed_dim:
-            raise LayoutError(f"expected dim {self.embed_dim}, got {mu.shape}")
-        return mu.reshape(-1, self.embed_dim)
 
     def project_stack(self, L: np.ndarray, G: np.ndarray, eta: float) -> tuple:
         """Bregman projection of each column of log-iterates L along G, unchecked.
@@ -224,7 +218,7 @@ class SimplexTask(Task):
         if self.k < 2:  # one label leaves no entropy range to step in
             raise ValueError(f"a simplex task needs at least 2 labels, got k={self.k}")
 
-    @property
+    @cached_property
     def embed_dim(self) -> int:
         return self.k
 
@@ -269,23 +263,21 @@ class SimplexTask(Task):
         return e
 
     def apply_loss_matrix(self, mu):
-        return np.asarray(mu, dtype=float) @ self.loss_matrix  # A symmetric
+        return self.loss_matrix @ self._columns(mu)
 
     def _decode_stack(self, S):
         # exact comparison: np.argmax returns the first maximizer
-        return (np.argmax(S, axis=1) + 1).tolist()
+        return (np.argmax(S, axis=0) + 1).tolist()
 
     def _max_stack(self, S):
-        # over the leading axis of the column stack: a max over each short
-        # row costs numpy far more per row
-        return np.ascontiguousarray(S.T).max(axis=0)
+        return S.max(axis=0)
 
     def uniform_state(self):
         return np.full(self.k, 1.0 / self.k)
 
     def check_state(self, mu):
-        mu = self._state_stack(mu)
-        if (mu < -1e-12).any() or (abs(mu.sum(axis=1) - 1.0) > 1e-9).any():
+        mu = self._columns(mu)
+        if (mu < -1e-12).any() or (abs(mu.sum(axis=0) - 1.0) > 1e-9).any():
             raise LayoutError("not a probability vector")
 
     def project_stack(self, L, G, eta):
@@ -308,7 +300,7 @@ class MulticlassTask(SimplexTask):
         return _read_only(-np.eye(self.k))
 
     def apply_loss_matrix(self, mu):
-        return -np.asarray(mu, dtype=float)
+        return -self._columns(mu)
 
 
 @dataclass(frozen=True)
@@ -347,7 +339,7 @@ class ChainTask(Task):
         if self.R < 2:
             raise ValueError(f"chain task needs an alphabet of at least 2, got R={self.R}")
 
-    @property
+    @cached_property
     def embed_dim(self) -> int:
         return self.M * self.R + (self.M - 1) * self.R * self.R
 
@@ -419,27 +411,24 @@ class ChainTask(Task):
         return self.join(u, p)
 
     def apply_loss_matrix(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        L = self.loss_block
+        mu = self._columns(mu)
         out = np.zeros_like(mu)
-        # L symmetric; per-position product on the unary blocks, taken on
-        # the transposed view, where a column stack's blocks are contiguous
-        u = mu.T[: self.unary_dim]
-        out.T[: self.unary_dim] = (L @ u.reshape(self.M, self.R, -1)).reshape(u.shape)
+        # per-position product on the unary blocks (L symmetric)
+        u = mu[: self.unary_dim]
+        out[: self.unary_dim] = (self.loss_block @ u.reshape(self.M, self.R, -1)).reshape(u.shape)
         return out
 
     def _backward(self, S):
-        """Column views of a score stack, with its suffix values.
+        """Block views of a (dim, B) score stack, with its suffix values.
 
-        Works on one C-contiguous transposed copy of the (B, dim) stack S.
         Returns u (M, R, B), p (M-1, R, R, B) and beta (M, R, B), where
-        beta[m, r, b] is the best score of row b's suffix after position m
-        given y_m = r+1.
+        beta[m, r, b] is the best score of column b's suffix after position
+        m given y_m = r+1.
         """
-        u, p = self.split(np.ascontiguousarray(S.T))
+        u, p = self.split(S)
         beta = np.zeros(u.shape)
         for m in range(self.M - 2, -1, -1):
-            # p[m] is indexed (y_m, y_{m+1}, row): the best y_{m+1} is a max over axis 1
+            # p[m] is indexed (y_m, y_{m+1}, column): the best y_{m+1} is a max over axis 1
             cont = p[m] + u[m + 1]
             cont += beta[m + 1]
             cont.max(axis=1, out=beta[m])
@@ -449,20 +438,19 @@ class ChainTask(Task):
         """Viterbi over the stack with exact lexicographic tie-breaking.
 
         The suffix-value DP is followed by a greedy forward pass that picks
-        the smallest symbol attaining the optimum at each position
-        (np.argmax returns the first maximizer).
+        the smallest symbol attaining the optimum at each position.
         """
         u, p, beta = self._backward(S)
-        B, R = len(S), self.R
+        R, B = self.R, S.shape[1]
         Y = np.empty((self.M, B), dtype=np.intp)
-        Y[0] = np.argmax(u[0] + beta[0], axis=0)
+        Y[0] = _first_argmax(u[0] + beta[0])
         # row Y[m, b] of pairwise block m in column b, gathered as an (R, B) array
         p = p.reshape(self.M - 1, R * R * B)
         offsets = np.arange(R)[:, None] * B + np.arange(B)
         for m in range(self.M - 1):
             cont = p[m].take(Y[m] * (R * B) + offsets) + u[m + 1]
             cont += beta[m + 1]
-            Y[m + 1] = np.argmax(cont, axis=0)
+            Y[m + 1] = _first_argmax(cont)
         return list(zip(*(Y + 1).tolist()))
 
     def _max_stack(self, S):
@@ -475,10 +463,10 @@ class ChainTask(Task):
         return self.join(u, p)
 
     def check_state(self, mu):
-        mu = self._state_stack(mu)
+        mu = self._columns(mu).reshape(self.embed_dim, -1)
         if np.any(mu < -1e-12):
             raise LayoutError("negative marginals")
-        u, p = self.split(np.ascontiguousarray(mu.T))
+        u, p = self.split(mu)
         if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
             raise LayoutError("unary block does not sum to 1")
         # the three invariants of every pairwise block, one row of flags per
@@ -535,7 +523,7 @@ class RankingTask(Task):
         if self.M < 1:
             raise ValueError(f"ranking task needs at least one item, got M={self.M}")
 
-    @property
+    @cached_property
     def embed_dim(self) -> int:
         return self.M * self.M
 
@@ -575,17 +563,17 @@ class RankingTask(Task):
         return P.ravel()
 
     def apply_loss_matrix(self, mu):
-        return -np.asarray(mu, dtype=float) / self.M
+        return -self._columns(mu) / self.M
 
     def _assignment_value(self, V: np.ndarray) -> float:
         rows, cols = linear_sum_assignment(-V)
         return float(V[rows, cols].sum())
 
     def _max_stack(self, S):
-        return np.array([self._assignment_value(V) for V in S.reshape(-1, self.M, self.M)])
+        return np.array([self._assignment_value(V) for V in S.T.reshape(-1, self.M, self.M)])
 
     def _decode_stack(self, S):
-        return [self._decode_one(V) for V in S.reshape(-1, self.M, self.M)]
+        return [self._decode_one(V) for V in S.T.reshape(-1, self.M, self.M)]
 
     def _decode_one(self, V: np.ndarray) -> tuple:
         """Max-weight assignment, lexicographically smallest among optima."""
@@ -614,12 +602,12 @@ class RankingTask(Task):
         return np.full(self.M * self.M, 1.0 / self.M)
 
     def check_state(self, mu):
-        Q = self._state_stack(mu).reshape(-1, self.M, self.M)
+        Q = self._columns(mu).reshape(self.M, self.M, -1)
         if np.any(Q < -1e-12) or np.any(Q > 1.0 + 1e-6):
             raise LayoutError("entries outside [0, 1]")
-        if np.any(np.abs(Q.sum(axis=2) - 1.0) > 1e-6):
-            raise LayoutError("row sums deviate from 1")
         if np.any(np.abs(Q.sum(axis=1) - 1.0) > 1e-6):
+            raise LayoutError("row sums deviate from 1")
+        if np.any(np.abs(Q.sum(axis=0) - 1.0) > 1e-6):
             raise LayoutError("column sums deviate from 1")
 
     def project_stack(self, L, G, eta):

@@ -120,10 +120,10 @@ def test_excess_task_risk_matches_label_enumeration(task, rows, seed, conc):
     E = np.stack([task.embed(y) for y in task.labels()])
     V = rng.normal(size=(rows, task.embed_dim)) * 2.0
     Mu = rng.dirichlet(conc * np.ones(len(E)), size=rows) @ E
-    risks = task.apply_loss_matrix(Mu) @ E.T + task.offset
+    risks = task.apply_loss_matrix(Mu.T).T @ E.T + task.offset
     decoded = np.argmax(V @ E.T, axis=1)
     want = risks[np.arange(rows), decoded] - risks.min(axis=1)
-    got = _excess_task_risk(task, V, Mu)
+    got = _excess_task_risk(task, V.T, Mu.T)
     assert got.shape == (rows,)
     assert np.all(np.abs(got - want) <= 1e-12)
 

@@ -52,9 +52,11 @@ def test_train_single_lambda(tmp_path):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec["lambda"] == 0.1 and 0.0 <= rec["test_loss"] <= 1.0
-    assert "wall_ms" not in lines[0]
-    diag = (out / "diagnostics.jsonl").read_text().splitlines()
-    assert len(diag) == 3 and all("wall_ms" in ln for ln in diag)
+    assert "wall_ms" not in lines[0] and "certify_ms" not in lines[0]
+    diag = [json.loads(ln) for ln in (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert len(diag) == 3 and all("wall_ms" in row and "certify_ms" in row for row in diag)
+    # one training, certified once: every pass carries the same certification time
+    assert len({row["certify_ms"] for row in diag}) == 1 and diag[0]["certify_ms"] > 0
 
 
 def test_train_grid_selects_by_validation(tmp_path):

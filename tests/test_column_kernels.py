@@ -250,7 +250,7 @@ def prob_engine(V, task, K, init=None):
         X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
 
     def grad(X):
-        AX = task.apply_loss_matrix(X)
+        AX = task.apply_loss_matrix(X.T).T
         return np.concatenate([AX[B:] + V, -AX[:B]])
 
     X_sum = np.zeros_like(X)
@@ -449,12 +449,16 @@ def chain_scores(task, rng, rows, tied):
 
 
 def assert_scores_match_row_reference(task, S):
-    labels = task.decode(S)
-    assert labels == row_chain_decode(task, S)
-    assert all(type(c) is int for y in labels for c in y)
-    got = task.max_oracle(S)
-    assert got.shape == (len(S),)
-    assert np.array_equal(got, row_chain_max(task, S))
+    """The column stack of the (B, dim) rows S, C-contiguous and as the
+    F-ordered view S.T, against the row reference on S."""
+    want_labels, want_max = row_chain_decode(task, S), row_chain_max(task, S)
+    for cols in (columns(S), S.T):
+        labels = task.decode(cols)
+        assert labels == want_labels
+        assert all(type(c) is int for y in labels for c in y)
+        got = task.max_oracle(cols)
+        assert got.shape == (len(S),)
+        assert np.array_equal(got, want_max)
 
 
 def layout_error(check, mu):
@@ -484,7 +488,7 @@ def perturbed_points(task, rng, rows, moves, scale):
 
 def assert_check_matches_row_reference(task, mu):
     want = layout_error(lambda x: row_chain_check_state(task, x), mu)
-    assert layout_error(task.check_state, mu) == want
+    assert layout_error(task.check_state, columns(mu)) == want
     return want
 
 
@@ -511,12 +515,10 @@ def test_chain_stack_methods_fixed_cases(task):
         for tied in (False, True):
             S = chain_scores(task, rng, rows, tied)
             assert_scores_match_row_reference(task, S)
-            # the transposed view of a column stack is F-ordered
-            assert_scores_match_row_reference(task, columns(S).T)
             assert task.decode(S[0]) == row_chain_decode(task, S[:1])[0]
     empty = np.zeros((0, task.embed_dim))
     assert_scores_match_row_reference(task, empty)
-    task.check_state(empty)
+    task.check_state(columns(empty))
     # rows failing each check, alone and at the end of a stack of good rows:
     # one entry moved, or mass moved between two entries of one block
     messages = set()
@@ -557,7 +559,7 @@ def test_project_stack_returns_column_stack(task):
         assert out.flags.c_contiguous
     L_new, P_new = task.project_stack(L, G, 0.5)
     assert L_new.min() >= _LOG_FLOOR
-    task.check_state(P_new.T)
+    task.check_state(P_new)
 
 
 def test_sinkhorn_error_names_the_failing_column():
@@ -605,14 +607,14 @@ def bad_rows(task):
 def test_one_bad_row_in_a_stack_raises(task):
     rng = np.random.default_rng(6)
     good = interior_points(task, rng, 6)
-    task.check_state(good)
+    task.check_state(columns(good))
     for name, bad in bad_rows(task):
         with pytest.raises(LayoutError) as single:
             task.check_state(bad)
         stack = good.copy()
         stack[4] = bad
         with pytest.raises(LayoutError) as stacked:
-            task.check_state(stack)
+            task.check_state(columns(stack))
         assert str(stacked.value) == str(single.value), name
         with pytest.raises(LayoutError):
             certified_gap(good, stack, np.zeros_like(good), task)
@@ -621,7 +623,7 @@ def test_one_bad_row_in_a_stack_raises(task):
             with pytest.raises(LayoutError):
                 spmp_solve_batch_simplex(good, task, 3, None, init)
     with pytest.raises(LayoutError):
-        task.check_state(np.zeros((2, task.embed_dim + 1)))
+        task.check_state(np.zeros((task.embed_dim + 1, 2)))
     for init in ((good[:, 1:], good), (good, good[:2])):  # wrong width, wrong row count
         with pytest.raises(LayoutError):
             spmp_solve_batch_simplex(good, task, 3, None, init)

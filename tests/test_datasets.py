@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maxminsp import datasets
 from maxminsp.datasets import (
     Dataset,
     DatasetFormatError,
@@ -157,6 +159,60 @@ def test_hmm_generator_and_sidecar(tmp_path):
     assert all(len(y) == 3 for y in side["labels"])
     back = load_dataset(p, "chain")
     assert back.ys == ds.ys
+
+
+def reference_synth_hmm(n, M=4, R=3, d=2, stay=0.7, emit_sep=2.0, seed=0):
+    """The per-sequence generator the batched one replaced: `rng.choice` per
+    state, then the emission noise, and forward-backward one sequence at a time."""
+    rng = np.random.default_rng(seed)
+    T = np.full((R, R), (1.0 - stay) / (R - 1))
+    np.fill_diagonal(T, stay)
+    pi = np.full(R, 1.0 / R)
+    means = emit_sep * np.stack(
+        [np.cos(2 * np.pi * np.arange(R) / R), np.sin(2 * np.pi * np.arange(R) / R)], axis=1
+    )
+    if d > 2:
+        means = np.hstack([means, np.zeros((R, d - 2))])
+    xs, ys, bayes = [], [], []
+    errs = 0
+    for _ in range(n):
+        states = [int(rng.choice(R, p=pi))]
+        for _ in range(M - 1):
+            states.append(int(rng.choice(R, p=T[states[-1]])))
+        obs = means[states] + rng.normal(size=(M, d))
+        like = np.exp(-0.5 * ((obs[:, None, :] - means[None, :, :]) ** 2).sum(axis=2))
+        alpha = np.zeros((M, R))
+        alpha[0] = pi * like[0]
+        alpha[0] /= alpha[0].sum()
+        for m in range(1, M):
+            alpha[m] = like[m] * (alpha[m - 1] @ T)
+            alpha[m] /= alpha[m].sum()
+        beta = np.ones((M, R))
+        for m in range(M - 2, -1, -1):
+            beta[m] = T @ (like[m + 1] * beta[m + 1])
+            beta[m] /= beta[m].sum()
+        post = alpha * beta
+        post /= post.sum(axis=1, keepdims=True)
+        pred = post.argmax(axis=1)
+        errs += int(np.sum(pred != np.array(states)))
+        xs.append(obs.ravel())
+        ys.append(tuple(s + 1 for s in states))
+        bayes.append(tuple(int(p) + 1 for p in pred))
+    return Dataset(np.array(xs), ys, "chain", {"M": M, "R": R}), bayes, errs / (n * M)
+
+
+@pytest.mark.parametrize("n, M, R", [(5000, 4, 3), (400, 6, 4), (100, 1, 3), (500, 5, 5)])
+def test_hmm_generator_matches_per_sequence_reference(tmp_path, monkeypatch, n, M, R):
+    # the batched generator draws the same stream: the sequence file and the
+    # Bayes sidecar are byte-equal
+    for seed in (0, 1, 7):
+        got, want = tmp_path / f"got{seed}.seq", tmp_path / f"want{seed}.seq"
+        make_synth("hmm", got, seed=seed, n=n, M=M, R=R)
+        with monkeypatch.context() as patch:
+            patch.setitem(datasets._GENERATORS, "hmm", reference_synth_hmm)
+            make_synth("hmm", want, seed=seed, n=n, M=M, R=R)
+        for suffix in ("", ".bayes.json"):
+            assert Path(f"{got}{suffix}").read_bytes() == Path(f"{want}{suffix}").read_bytes()
 
 
 def test_ranking_generator_valid_permutations():

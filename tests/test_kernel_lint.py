@@ -3,12 +3,14 @@
 They work on (dim, B) column stacks, so a reduction over the last axis
 would run over a short, strided row of each point: numpy then pays per row
 what a whole-column operation pays once.  This lint parses `projections.py`
-and `tasks.py` and fails on any reduction inside a linted function whose
-axis is missing (all axes, the last included), negative, or not a literal.
-A non-negative literal axis can still name the last axis; in a column stack
-that axis holds the rows, so a reduction over it mixes rows, which the
-stacked-against-per-row tests catch.  Methods are matched by their
-class-qualified name, `Class.method`.
+and `tasks.py` and fails on any reduction (argmax and argmin included)
+inside a linted function whose axis is missing (all axes, the last
+included), negative, or not a literal.  A non-negative literal axis can
+still name the last axis; in a column stack that axis holds the rows, so a
+reduction over it mixes rows, which the column-against-per-column tests in
+test_tasks.py catch, together with the rejection of (B, dim) row stacks.
+Functions are matched by name: in `tasks.py`, the stack methods of every
+task class.
 """
 
 import ast
@@ -17,11 +19,10 @@ from pathlib import Path
 import maxminsp
 
 KERNELS = {"_softmax_stack", "_chain_stack", "_sinkhorn_stack", "_logsumexp"}
-TASK_METHODS = {"ChainTask._backward", "ChainTask._decode_stack", "ChainTask._max_stack",
-                "ChainTask.check_state", "SimplexTask._max_stack"}
-# arithmetic reductions only: any/all over per-column flags steer the
-# Sinkhorn loop and reduce over the rows on purpose
-REDUCTIONS = {"sum", "max", "min", "prod", "mean", "amax", "amin", "reduce"}
+TASK_METHODS = {"_backward", "_decode_stack", "_max_stack", "check_state", "apply_loss_matrix"}
+# arithmetic reductions and their argument forms only: any/all over
+# per-column flags steer the Sinkhorn loop and reduce over the rows on purpose
+REDUCTIONS = {"sum", "max", "min", "prod", "mean", "amax", "amin", "reduce", "argmax", "argmin"}
 
 
 def _axis(call: ast.Call):
@@ -59,10 +60,11 @@ def _functions(tree: ast.Module):
 
 def last_axis_reductions(source: str, linted: set[str]) -> tuple[list[str], set[str]]:
     """`name:line` of every reduction in a linted function not over a leading
-    axis, and the linted functions found."""
+    axis, and the qualified names of the linted functions found; a method
+    is linted when its own name is, in whichever class."""
     found, seen = [], set()
     for name, fn in _functions(ast.parse(source)):
-        if name not in linted:
+        if fn.name not in linted:
             continue
         seen.add(name)
         for node in ast.walk(fn):
@@ -82,9 +84,11 @@ def test_kernels_reduce_over_leading_axes():
     assert found == []
 
 
-def test_chain_stack_methods_reduce_over_leading_axes():
+def test_task_stack_methods_reduce_over_leading_axes():
     found, seen = last_axis_reductions(_source("tasks.py"), TASK_METHODS)
-    assert seen == TASK_METHODS
+    assert {name.split(".")[1] for name in seen} == TASK_METHODS
+    assert {name.split(".")[0] for name in seen} >= {
+        "SimplexTask", "MulticlassTask", "ChainTask", "RankingTask"}
     assert found == []
 
 
@@ -109,8 +113,8 @@ def test_lint_catches_last_axis_reductions():
 
 
 def test_lint_catches_last_axis_reductions_in_methods():
-    # matched by class-qualified name: a same-named method of another class,
-    # or a module-level function, is not linted
+    # matched by method name, in every class: another method of a task class
+    # is not linted
     src = (
         "class ChainTask(Task):\n"
         "    def _max_stack(self, S):\n"
@@ -121,12 +125,38 @@ def test_lint_catches_last_axis_reductions_in_methods():
         "            raise LayoutError(mu.sum())\n"
         "    def labels(self):\n"
         "        return S.max()\n"
-        "class RankingTask(Task):\n"
-        "    def _max_stack(self, S):\n"
-        "        return S.max(axis=-1)\n"
-        "def _max_stack(S):\n"
-        "    return S.max()\n"
     )
     found, seen = last_axis_reductions(src, TASK_METHODS)
     assert seen == {"ChainTask._max_stack", "ChainTask.check_state"}
     assert found == ["ChainTask._max_stack:4", "ChainTask.check_state:7"]
+
+
+def test_lint_covers_every_task_class():
+    # the stack methods of any class are linted, apply_loss_matrix among them
+    src = (
+        "class RankingTask(Task):\n"
+        "    def _max_stack(self, S):\n"
+        "        return S.max(axis=-1)\n"
+        "    def _assignment_value(self, V):\n"
+        "        return V.sum()\n"
+        "class SimplexTask(Task):\n"
+        "    def apply_loss_matrix(self, mu):\n"
+        "        return mu.sum(axis=-1)\n"
+    )
+    found, seen = last_axis_reductions(src, TASK_METHODS)
+    assert seen == {"RankingTask._max_stack", "SimplexTask.apply_loss_matrix"}
+    assert found == ["RankingTask._max_stack:3", "SimplexTask.apply_loss_matrix:8"]
+
+
+def test_lint_counts_argmax_and_argmin():
+    # a leading literal axis passes, a negative or missing one does not
+    src = (
+        "class SimplexTask(Task):\n"
+        "    def _decode_stack(self, S):\n"
+        "        a = np.argmax(S, axis=1)\n"
+        "        b = S.argmin(-1)\n"
+        "        c = np.argmax(S)\n"
+        "        return np.argmax(S, axis=0) + S.argmin(0)\n"
+    )
+    found, seen = last_axis_reductions(src, TASK_METHODS)
+    assert found == ["SimplexTask._decode_stack:4", "SimplexTask._decode_stack:5"]

@@ -112,8 +112,8 @@ def test_certified_gap_matches_vertex_enumeration(t):
     B = 100
     mu, nu = (rng.dirichlet(np.ones(len(E)), size=B) @ E for _ in range(2))
     V = rng.normal(size=(B, t.embed_dim))
-    upper = ((t.apply_loss_matrix(nu) + V) @ E.T).max(axis=1)
-    lower = (t.apply_loss_matrix(mu) @ E.T).min(axis=1) + np.einsum("ij,ij->i", V, mu)
+    upper = ((t.apply_loss_matrix(nu.T).T + V) @ E.T).max(axis=1)
+    lower = (t.apply_loss_matrix(mu.T).T @ E.T).min(axis=1) + np.einsum("ij,ij->i", V, mu)
     gaps = certified_gap(mu, nu, V, t)
     assert gaps.shape == (B,)
     assert np.max(np.abs(gaps - (upper - lower))) < 1e-10
@@ -352,7 +352,7 @@ def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, sca
     assert np.all(np.diff(steps, axis=0) <= 0)
     assert steps[0, 0] == t.adaptive_start
     for x in out:
-        t.check_state(x)
+        t.check_state(x.T)
 
 
 def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):

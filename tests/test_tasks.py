@@ -272,31 +272,31 @@ def test_loss_decomposition_matches_direct_loss():
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_max_oracle_matches_enumeration(t, data):
-    rows = data.draw(st.integers(1, 5))
-    S = data.draw(arrays(np.float64, (rows, t.embed_dim),
+    cols = data.draw(st.integers(1, 5))
+    S = data.draw(arrays(np.float64, (t.embed_dim, cols),
                          elements=st.floats(-100, 100, allow_subnormal=False)))
     # small integers make exact ties, which decode must break like labels()
-    S_int = data.draw(arrays(np.int64, (rows, t.embed_dim),
+    S_int = data.draw(arrays(np.int64, (t.embed_dim, cols),
                              elements=st.integers(-2, 2))).astype(float)
     labels = list(t.labels())
     E = np.stack([t.embed(y) for y in labels])
     for X in (S, S_int):
-        best = (X @ E.T).max(axis=1)
+        best = (E @ X).max(axis=0)
         got = t.max_oracle(X)
-        assert got.shape == (rows,)
+        assert got.shape == (cols,)
         assert np.all(np.abs(got - best) <= 1e-12 * (1.0 + np.abs(best)))
         decoded = t.decode(X)
-        assert len(decoded) == rows
-        assert all(decoded[b] == t.decode(X[b]) for b in range(rows))
-    assert t.decode(S_int) == [labels[i] for i in np.argmax(S_int @ E.T, axis=1)]
+        assert len(decoded) == cols
+        assert all(decoded[b] == t.decode(X[:, b]) for b in range(cols))
+    assert t.decode(S_int) == [labels[i] for i in np.argmax(E @ S_int, axis=0)]
 
 
 def test_simplex_max_oracle_rejects_bad_stacks():
     # every task checks its score stacks the same way, for both entry points
     for t in (MulticlassTask(4), OrdinalTask(3), ChainTask(3, 2), RankingTask(3)):
-        nan_row = np.zeros((2, t.embed_dim))
-        nan_row[1, 0] = np.nan
-        for bad in (nan_row, nan_row[1], np.zeros((2, t.embed_dim + 1)), np.zeros(t.embed_dim - 1)):
+        nan_col = np.zeros((t.embed_dim, 2))
+        nan_col[0, 1] = np.nan
+        for bad in (nan_col, nan_col[:, 1], np.zeros((t.embed_dim + 1, 2)), np.zeros(t.embed_dim - 1)):
             with pytest.raises(LayoutError):
                 t.max_oracle(bad)
             with pytest.raises(LayoutError):
@@ -318,6 +318,48 @@ def test_bayes_risk_matches_enumeration(t, rows, seed, conc):
     losses = np.array([[t.loss(c, z) for z in labels] for c in labels])
     W = rng.dirichlet(conc * np.ones(len(labels)), size=rows)
     want = (W @ losses.T).min(axis=1) - t.offset
-    got = t.bayes_risk(W @ E)
+    got = t.bayes_risk(E.T @ W.T)
     assert got.shape == (rows,)
     assert np.all(np.abs(got - want) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the column layout: a (dim, B) stack gives what its columns give one by one
+
+
+LAYOUT_TASKS = [MulticlassTask(4), OrdinalTask(5), ChainTask(3, 2), RankingTask(3)]
+
+
+@pytest.mark.parametrize("t", LAYOUT_TASKS, ids=lambda t: t.kind)
+@pytest.mark.parametrize("size", ["1", "2", "dim", "dim+1"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_column_stacks_equal_per_column_calls(t, size, tied, seed):
+    B = {"1": 1, "2": 2, "dim": t.embed_dim, "dim+1": t.embed_dim + 1}[size]
+    rng = np.random.default_rng(seed)
+    S = rng.integers(-2, 3, size=(t.embed_dim, B)).astype(float) if tied else rng.normal(
+        size=(t.embed_dim, B)) * 10
+    E = np.stack([t.embed(y) for y in t.labels()])
+    mu = E.T @ rng.dirichlet(np.ones(len(E)), size=B).T
+    assert t.decode(S) == [t.decode(S[:, b]) for b in range(B)]
+    assert np.array_equal(t.max_oracle(S), [t.max_oracle(S[:, b])[0] for b in range(B)])
+    # a one-vector product may round apart from the stacked one (gemv and gemm)
+    for got, want in ((t.apply_loss_matrix(mu), [t.apply_loss_matrix(mu[:, b]) for b in range(B)]),
+                      (t.bayes_risk(mu), [t.bayes_risk(mu[:, b])[0] for b in range(B)])):
+        want = np.array(want).T
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    t.check_state(mu)
+    bad = mu.copy()
+    bad[:, B - 1] *= 1.5  # the last column leaves the polytope
+    with pytest.raises(LayoutError):
+        t.check_state(bad[:, B - 1])
+    with pytest.raises(LayoutError):
+        t.check_state(bad)
+    if B != t.embed_dim:
+        # a caller left on (B, dim) rows fails loudly; a square stack only
+        # differs in its values, which the checks above compare
+        for method, rows in ((t.decode, S.T), (t.max_oracle, S.T), (t.apply_loss_matrix, mu.T),
+                             (t.bayes_risk, mu.T), (t.check_state, mu.T)):
+            with pytest.raises(LayoutError):
+                method(rows)

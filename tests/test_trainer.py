@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed
     E = np.stack([task.embed(y) for y in task.labels()])
 
     def H(m):
-        return np.min(m @ task.apply_loss_matrix(E).T, axis=1) + np.einsum("ij,ij->i", V, m)
+        return np.min(m @ task.apply_loss_matrix(E.T), axis=1) + np.einsum("ij,ij->i", V, m)
 
     assert lower[0] == pytest.approx(float(np.mean(H(mu_bar) - H(mu))), rel=1e-9, abs=1e-12)
 
@@ -330,8 +331,8 @@ def _certified_setups():
     return [simplex, chain]
 
 
-def _without_wall(records):
-    return [{k: v for k, v in r.items() if k != "wall_s"} for r in records]
+def _without_times(records):
+    return [{k: v for k, v in r.items() if k not in ("wall_s", "certify_s")} for r in records]
 
 
 @pytest.mark.parametrize("train", [gbcfw_train, m3n_train])
@@ -343,7 +344,7 @@ def test_records_of_fewer_passes_are_a_prefix(train, setup):
     _, full = train(data, task, cfg)
     for p in range(1, cfg.passes):
         _, short = train(data, task, dataclasses.replace(cfg, passes=p))
-        assert _without_wall(short.records) == _without_wall(full.records[:p])
+        assert _without_times(short.records) == _without_times(full.records[:p])
 
 
 @pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
@@ -404,6 +405,22 @@ def test_training_certifies_once(monkeypatch, train, engine_calls, gap_calls):
     data, task, cfg = _certified_setups()[0]
     train(data, task, cfg)
     assert calls == {"engine": engine_calls(cfg.passes, len(data[1])), "gap": gap_calls}
+
+
+def test_certify_time_covers_the_dual_gap_call(monkeypatch):
+    # certify_s is the training's time in its dual_gap and block
+    # certified_gap calls, the same on every pass's record
+    engine = trainer.dual_gap
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "dual_gap", slow)
+    data, task, cfg = _certified_setups()[0]
+    _, report = gbcfw_train(data, task, cfg)
+    certify = {r["certify_s"] for r in report.records}
+    assert len(certify) == 1 and certify.pop() >= 0.2
 
 
 def test_negative_dual_gap_names_first_pass(monkeypatch):
