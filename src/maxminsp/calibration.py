@@ -5,8 +5,7 @@ conditional moment mu to the excess task risk delta_l of its decoded label.
 The calibration curve zeta(eps) = inf { delta_s : delta_l >= eps } is
 estimated by randomized search over score vectors and label mixtures, with
 one path for every task of at most six labels; the linear constant C
-(optimal labels carry probability at least 1/C) is computed analytically
-where possible and by randomized search otherwise.
+(optimal labels carry probability at least 1/C) is computed analytically.
 """
 
 from __future__ import annotations
@@ -103,12 +102,14 @@ def zeta_bruteforce(
     return estimate
 
 
-def constant_c(task: Task, samples: int = 50000, seed: int = 0) -> float:
+def constant_c(task: Task) -> float:
     """Smallest C such that some loss-minimizing label has probability 1/C.
 
     Multiclass 0-1 loss attains the bound at the uniform distribution
-    (C = k); decomposable chain losses take the per-part value R.  Other
-    losses are estimated by randomized search over label distributions.
+    (C = k); decomposable chain losses take the per-part value R.  Two
+    ordinal labels carry the 0-1 loss; from three on no C exists, so C is
+    `math.inf`: under (1/2 - e/2, e, 1/2 - e/2) on labels 1 to 3 the middle
+    label is the one minimizer of the absolute loss, at mass e.
     """
     if isinstance(task, MulticlassTask):
         return float(task.k)
@@ -116,21 +117,7 @@ def constant_c(task: Task, samples: int = 50000, seed: int = 0) -> float:
         return float(task.R)
     if isinstance(task, RankingTask):
         return float(math.factorial(task.M))
-    E = np.stack([task.embed(y) for y in task.labels()])
-    n = len(E)
-    loss = E @ task.apply_loss_matrix(E.T) + task.offset
-    rng = np.random.default_rng(seed)
-    worst = 1.0
-    for alpha_conc in (1.0, 0.3, 3.0):
-        alphas = rng.dirichlet(alpha_conc * np.ones(n), size=samples)
-        risks = alphas @ loss.T
-        mins = risks.min(axis=1, keepdims=True)
-        opt = risks <= mins + 1e-12
-        best_mass = np.where(opt, alphas, -np.inf).max(axis=1)
-        worst = min(worst, float(best_mass.min()))
-    if worst <= 0:
-        raise ValueError("degenerate loss: an optimal label can carry zero mass")
-    return 1.0 / worst
+    return 2.0 if task.k == 2 else math.inf  # ordinal
 
 
 def ranking_d_bound(M: int) -> float:

@@ -231,6 +231,8 @@ def load_bayes_sidecar(path) -> dict:
 def synth_blobs(n: int, k: int = 3, separation: float = 3.0, d: int = 2, seed: int = 0) -> tuple[Dataset, list, float]:
     """Gaussian blobs with means on a circle; Bayes = nearest mean."""
     task = MulticlassTask(k)
+    if d < 2:  # the means lie in the first two feature dimensions
+        raise ValueError(f"blobs need d >= 2 feature dimensions, got d={d}")
     rng = np.random.default_rng(seed)
     angles = 2 * np.pi * np.arange(k) / k
     means = separation * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -289,6 +291,10 @@ def synth_hmm(n: int, M: int = 4, R: int = 3, d: int = 2, stay: float = 0.7,
     Each sequence draws M uniforms, which pick its states by inverse
     transform as `rng.choice` does, then its (M, d) emission noise."""
     task = ChainTask(M, R)
+    if d < 2:  # the emission means lie in the first two feature dimensions
+        raise ValueError(f"hmm needs d >= 2 feature dimensions, got d={d}")
+    if not 0.0 <= stay <= 1.0:  # also nan
+        raise ValueError(f"stay is a probability in [0, 1], got stay={stay}")
     rng = np.random.default_rng(seed)
     T = np.full((R, R), (1.0 - stay) / (R - 1))
     np.fill_diagonal(T, stay)

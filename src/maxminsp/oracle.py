@@ -13,7 +13,7 @@ Task methods take column stacks, and this module's functions keep (B, dim)
 rows, each transposing once inside, so the column stack never leaves the
 engine.  The polytope enters only through the task: its `project_stack`,
 `apply_loss_matrix`, `check_state`, `score_stack`, `l_spmp` and `r2`, and
-for adaptive steps its `bregman` and `adaptive_start`.
+for adaptive steps its `bregman`.
 
 Every call runs one round loop, at a fixed step except in dual-gap
 certification, which asks for adaptive steps: while some row's step is
@@ -44,6 +44,8 @@ __all__ = [
     "spmp_solve_batch_simplex",
     "certified_gap",
 ]
+
+ADAPTIVE_START = 2.0 ** 10  # the first adaptive step, in worst-case steps
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,14 @@ def spmp_solve_batch_simplex(
     normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
     or B rows each; it is floored and checked against the polytope.
 
-    adaptive gives each row its own step, starting at the task's
-    `adaptive_start` times eta (2**10; rankings keep eta).  Every call runs
-    the same rounds; while some row's step is above eta, a round is redone
-    with the step halved for every row that fails Nemirovski's local
-    criterion (see `_rejected`), and once every row is at eta the call
-    checks no more.  eta itself is always accepted, so steps never fall
-    below it and never grow; fixed-step calls never check.  The check
-    reuses the projections' log-iterates and makes no projection of its
-    own; a row's steps depend on that row alone.
+    adaptive gives each row its own step, starting at ADAPTIVE_START times
+    eta on every task.  Every call runs the same rounds; while some row's
+    step is above eta, a round is redone with the step halved for every row
+    that fails Nemirovski's local criterion (see `_rejected`), and once
+    every row is at eta the call checks no more.  eta itself is always
+    accepted, so steps never fall below it and never grow; fixed-step calls
+    never check.  The check reuses the projections' log-iterates and makes
+    no projection of its own; a row's steps depend on that row alone.
 
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates and the final full-step iterates, as C-contiguous (B, dim)
@@ -146,7 +147,7 @@ def spmp_solve_batch_simplex(
     # the gradient at X is kept while a round is redone
     grad_x, grad_y = gradient(np.empty_like(X)), gradient(np.empty_like(X))
     # one step per column while checking, a row's two players sharing it
-    step = np.full(2 * B, rate * task.adaptive_start) if adaptive else rate
+    step = np.full(2 * B, rate * ADAPTIVE_START) if adaptive else rate
     check = adaptive
     X_sum = np.zeros_like(X)
     try:

@@ -2,9 +2,9 @@
 
 Each projection solves  argmin_{mu in M}  -eta * mu^T grad + D_{-H}(mu, mu_prev)
 for the polytope's entropy H:  softmax on the simplex, log-domain
-sum-product on chain marginals, Sinkhorn row/column scaling on the
-doubly stochastic matrices.  `grad` is always an ascent direction for the
-caller's objective.
+sum-product on chain marginals, Sinkhorn-Newton row and column scaling
+on the doubly stochastic matrices.  `grad` is always an ascent direction
+for the caller's objective.
 
 Every projection works on a stack.  The kernels take column stacks: a
 C-contiguous (dim, B) array whose column b is projected with column b of
@@ -19,8 +19,8 @@ its normalized probabilities, so no kernel takes the log of the iterate
 it is handed.  PROB_FLOOR is a floor on the log, L >= log(PROB_FLOOR),
 which keeps exp off its subnormal range.  `project` is the one checked
 entry for every task, in probabilities: it takes one vector or a (B, dim)
-row stack; `project_birkhoff_sinkhorn` also takes Sinkhorn's tol and sweep
-cap, whose defaults the engine uses.
+row stack; `project_birkhoff_sinkhorn` also takes the Birkhoff kernel's
+tol and Newton step cap, whose defaults the engine uses.
 """
 
 from __future__ import annotations
@@ -47,8 +47,11 @@ PROB_FLOOR = 1e-12
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
 SINKHORN_TOL = 1e-9
-# one cap for every caller: near-vertex iterates slow Sinkhorn's linear rate
-SINKHORN_MAX_ITER = 100_000
+SINKHORN_MAX_ITER = 300  # Newton steps; at most 94 measured (M <= 8, log-entries up to 1e7)
+# a Newton step keeps log P at or below _MAX_LOG, where exp is finite, and is
+# halved at most _MAX_HALVINGS times for Armijo's rule; the ridge, relative to
+# the diagonal, keeps the Hessian invertible
+_MAX_LOG, _MAX_HALVINGS, _ARMIJO, _RIDGE = 700.0, 60, 1e-4, 1e-12
 
 
 class LayoutError(ValueError):
@@ -58,7 +61,7 @@ class LayoutError(ValueError):
 class SinkhornConvergenceError(RuntimeError):
     def __init__(self, residual: float, max_iter: int, row: int = 0):
         super().__init__(
-            f"Sinkhorn did not converge after {max_iter} iterations (residual {residual:.3e})"
+            f"Sinkhorn did not converge after {max_iter} Newton steps (residual {residual:.3e})"
         )
         self.residual = residual
         self.row = row  # stack column (one point) with the largest residual
@@ -137,50 +140,58 @@ def _sinkhorn_stack(
     tol: float = SINKHORN_TOL,
     max_iter: int = SINKHORN_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sinkhorn-Knopp projection under the entry-wise entropy, per column.
+    """Sinkhorn-Newton projection under the entry-wise entropy, per column.
 
     A column is an M x M matrix, row-major, viewed here as an (M, M, B)
-    array.  Each column stops scaling once its own residual reaches tol,
+    array.  The projection is P = exp(L + eta*G + a_i + b_j) for the
+    potentials (a, b) minimizing the dual  sum P - sum a - sum b, whose
+    gradient is the row and column sums less 1.  One log-domain sweep
+    starts them; damped Newton steps (Brauer, Clason, Lorenz & Wirth 2017)
+    follow, each with its gauge direction (+c, -c), which leaves P as it
+    is, projected out.  A column stops once its own residual reaches tol,
     so its result does not depend on the rest of the stack.  Columns still
-    above 10*tol after max_iter sweeps raise SinkhornConvergenceError,
-    which names the worst column as its `row`; so does, before any sweep,
-    a column with a row or column of zeros after exp.
+    above 10*tol after max_iter steps raise SinkhornConvergenceError, which
+    names the worst column as its `row`.
     """
     B = L.shape[1]
     M = math.isqrt(L.shape[0])
-    logK = L + eta * G
-    logK -= logK.max(axis=0)
-    K = np.exp(logK).reshape(M, M, B)
-    # a row or column that exp flushed to zero admits no scaling at all
-    empty = ~(K.any(axis=1).all(axis=0) & K.any(axis=0).all(axis=0))
-    if empty.any():
-        raise SinkhornConvergenceError(math.inf, 0, int(np.argmax(empty, axis=0)))
-
-    residual = np.full(B, np.inf)
-    active = np.arange(B)
-    Ka = K  # the columns still scaling; a copy once some have stopped
-    for _ in range(max_iter):
-        Ka /= Ka.sum(axis=1)[:, None]
-        Ka /= Ka.sum(axis=0)
-        res = np.maximum(
-            np.abs(Ka.sum(axis=1) - 1.0).max(axis=0),
-            np.abs(Ka.sum(axis=0) - 1.0).max(axis=0),
-        )
-        residual[active] = res
-        done = res <= tol
-        if done.any():
-            K[..., active] = Ka
-            active = active[~done]
-            if not active.size:
+    logP = (L + eta * G).reshape(M, M, B)
+    logP -= _logsumexp(logP.transpose(1, 0, 2))[:, None]
+    logP -= _logsumexp(logP)
+    H = np.zeros((B, 2 * M, 2 * M))
+    for it in range(max_iter + 1):
+        P = np.exp(logP)
+        sums = np.concatenate([P.sum(axis=1), P.sum(axis=0)])  # rows, then columns
+        g = sums - 1.0
+        residual = np.abs(g).max(axis=0)
+        active = residual > tol
+        if it == max_iter or not active.any():
+            break
+        H[:, range(2 * M), range(2 * M)] = (sums * (1.0 + _RIDGE)).T
+        H[:, :M, M:] = P.transpose(2, 0, 1)
+        H[:, M:, :M] = P.transpose(2, 1, 0)
+        a, b = np.split(np.linalg.solve(H, -g.T[:, :, None])[:, :, 0].T, 2)
+        c = (a.sum(axis=0) - b.sum(axis=0)) / (2 * M)
+        a, b = a - c, b + c
+        S = a[:, None] + b
+        slope = (g[:M] * a).sum(axis=0) + (g[M:] * b).sum(axis=0)
+        total = a.sum(axis=0) + b.sum(axis=0)
+        t = np.where(active, 1.0 / np.maximum(1.0, (S / (_MAX_LOG - logP)).max(axis=0).max(axis=0)), 0.0)
+        for _ in range(_MAX_HALVINGS):
+            # the dual's change sum(exp(log P + t*S) - P) - t*sum(a + b), exact and finite
+            move = t * S
+            change = np.where(move > 0, -np.exp(logP + move), P) * np.expm1(-np.abs(move))
+            short = change.sum(axis=0).sum(axis=0) - t * total > _ARMIJO * t * slope
+            if not short.any():
                 break
-            Ka = K[..., active]
-    else:
-        K[..., active] = Ka
+            t[short] *= 0.5
+        else:
+            t[short] = 0.0  # no decrease left to find: the column stalls
+        logP += t * S
+    if not np.all(residual <= 10 * tol):  # also a nan residual
         worst = int(np.argmax(residual, axis=0))
-        if not residual[worst] <= 10 * tol:  # also a nan residual
-            raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
-    P = np.maximum(K.reshape(M * M, B), PROB_FLOOR)
-    return np.log(P), P
+        raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
+    return np.maximum(logP, _LOG_FLOOR).reshape(M * M, B), np.maximum(P, PROB_FLOOR).reshape(M * M, B)
 
 
 def _columns(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,5 +219,5 @@ def project_birkhoff_sinkhorn(
     tol: float = SINKHORN_TOL,
     max_iter: int = SINKHORN_MAX_ITER,
 ) -> np.ndarray:
-    """Sinkhorn-Knopp projection of one point under the entry-wise entropy."""
+    """Sinkhorn-Newton projection of one point under the entry-wise entropy."""
     return _sinkhorn_stack(*_columns(mu_prev, grad), eta, tol, max_iter)[1][:, 0]

@@ -99,8 +99,7 @@ class Task:
     by both saddle players; `diameter_sq` is max ||phi(y) - phi(y')||_2^2;
     `l_spmp` is the theory smoothness constant of the saddle problem.
     `certify_eta`, when set, is the fixed step of calibration's batched
-    solve; dual-gap certification picks its steps adaptively instead,
-    starting at `adaptive_start` times the worst-case step.
+    solve; dual-gap certification picks its steps adaptively instead.
     """
 
     kind: str
@@ -110,7 +109,6 @@ class Task:
     diameter_sq: float
     l_spmp: float
     certify_eta: float | None = None
-    adaptive_start: float = 2.0 ** 10
 
     # -- labels ----------------------------------------------------------
     def check_label(self, y) -> None:
@@ -514,9 +512,6 @@ class RankingTask(Task):
 
     M: int
     kind = "ranking"
-    # Sinkhorn stalls on the near-vertex iterates of larger steps, so
-    # certification keeps the worst-case step
-    adaptive_start = 1.0
 
     def __post_init__(self):
         _check_sizes(M=self.M)

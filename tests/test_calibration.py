@@ -31,11 +31,20 @@ def test_constant_c_ranking_is_factorial():
     assert constant_c(RankingTask(M=4)) == 24.0
 
 
-def test_constant_c_randomized_ordinal_exceeds_k():
-    # the absolute-difference loss concentrates optimal mass far below 1/k,
-    # so the searched constant must land well above the 0-1 value
-    c = constant_c(OrdinalTask(k=3), samples=20000, seed=0)
-    assert c > 3.0
+def test_constant_c_ordinal_is_unbounded_from_three_labels():
+    # two labels carry the 0-1 loss; from three on, the witness
+    # (1/2 - e/2, e, 1/2 - e/2, 0, ...) has label 2 as its one minimizer
+    assert constant_c(OrdinalTask(k=2)) == 2.0
+    for k in (3, 4, 6):
+        task = OrdinalTask(k=k)
+        assert constant_c(task) == math.inf
+        E = np.stack([task.embed(y) for y in task.labels()])
+        loss = E @ task.apply_loss_matrix(E.T) + task.offset
+        for e in (0.3, 1e-3, 1e-6):
+            p = np.zeros(k)
+            p[:3] = 0.5 - e / 2, e, 0.5 - e / 2
+            risks = loss @ p
+            assert np.argmin(risks) == 1 and np.sum(risks <= risks[1] + 1e-12) == 1
 
 
 def test_ranking_d_bound_small_m():

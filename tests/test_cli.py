@@ -42,6 +42,18 @@ def test_synth_bad_param_exits_2(tmp_path):
         assert not out.exists() and not (tmp_path / f"{kind}.txt.bayes.json").exists()
 
 
+@pytest.mark.parametrize("kind, param", [("hmm", "stay=1.5"), ("hmm", "stay=-0.2"),
+                                         ("blobs", "d=1"), ("hmm", "d=1")])
+def test_synth_out_of_range_generator_param_exits_2(tmp_path, kind, param):
+    # a transition matrix with negative entries, or fewer feature columns
+    # than the generator places its means in, is rejected before writing
+    out = tmp_path / f"{kind}.txt"
+    res = run(["synth", "--kind", kind, "--n", "20", "--param", param, "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"{param.split('=')[0]}=" in res.output, res.output
+    assert not out.exists() and not (tmp_path / f"{kind}.txt.bayes.json").exists()
+
+
 def test_train_single_lambda(tmp_path):
     p = _synth_blobs(tmp_path)
     out = tmp_path / "out"
@@ -86,6 +98,20 @@ def test_train_chain_end_to_end_is_deterministic(tmp_path):
     assert texts[0] == texts[1]
     rec = json.loads(texts[0])
     assert rec["lambda"] == 0.1 and 0.0 <= rec["test_loss"] <= 1.0
+
+
+def test_train_ranking_end_to_end(tmp_path):
+    data = tmp_path / "rank.csv"
+    res = run(["synth", "--kind", "ranking", "--n", "60", "--param", "M=4", "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "o"
+    res = run(["train", "--data", str(data), "--task", "ranking", "--lambda", "0.1",
+               "--passes", "4", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rec = json.loads((out / "results.jsonl").read_text())
+    assert 0.0 <= rec["test_loss"] <= 1.0
+    gaps = [json.loads(ln)["dual_gap"] for ln in (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert len(gaps) == 4 and gaps[-1] < gaps[0]
 
 
 def test_train_parse_error_exits_2(tmp_path):
@@ -277,6 +303,7 @@ def test_records_write_non_finite_values_as_null(tmp_path):
     assert res.exit_code == 0, res.output
     for line in (res.output.splitlines()[-1], (out / "results.jsonl").read_text()):
         assert _strict_json(line)["zeta_lower"] == {"0.1": None, "0.3": None, "0.5": None}
+        assert _strict_json(line)["constant_c"] is None  # unbounded on ordinal k=3
     # three rows leave the test split empty, so its loss is undefined
     p = _synth_blobs(tmp_path, n=3)
     out = tmp_path / "train"

@@ -9,7 +9,9 @@ the last axis.  A column kernel must match its reference bit for bit
 wherever the reference summed fewer than 8 terms, since numpy sums fewer
 than 8 contiguous terms in order, as a column kernel does; from 8 terms on,
 numpy sums a contiguous row pairwise, so the two may differ in the last
-bits and must agree to 1e-12 relative.
+bits and must agree to 1e-12 relative.  The Birkhoff kernel's reference
+runs the same Newton steps, summing M terms at a time; Sinkhorn's sweeps,
+which that kernel replaced, are kept as a reference within tolerance.
 
 The chain task's Viterbi decoder, max oracle and polytope check once
 reduced over the last axes of (B, M, R) and (B, M-1, R, R) row views; they
@@ -35,7 +37,11 @@ from hypothesis import strategies as st
 
 from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
 from maxminsp.projections import (
+    _ARMIJO,
     _LOG_FLOOR,
+    _MAX_HALVINGS,
+    _MAX_LOG,
+    _RIDGE,
     PROB_FLOOR,
     SINKHORN_MAX_ITER,
     SINKHORN_TOL,
@@ -116,7 +122,57 @@ def row_chain(L, G, eta, M, R):
     return L_new, row_chain_normalize(log_u, log_p)
 
 
-def row_sinkhorn_scale(logK, tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
+def row_sinkhorn_newton(L, G, eta, tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
+    """Sinkhorn-Newton on a (B, M*M) row stack, the kernel's steps with the
+    rows of each matrix on axis 1 and its columns on axis 2."""
+    B = L.shape[0]
+    M = math.isqrt(L.shape[1])
+    logP = (L + eta * G).reshape(B, M, M)
+    logP -= row_logsumexp(logP, 2)[:, :, None]
+    logP -= row_logsumexp(logP, 1)[:, None, :]
+    H = np.zeros((B, 2 * M, 2 * M))
+    diag = np.arange(2 * M)
+    for it in range(max_iter + 1):
+        P = np.exp(logP)
+        sums = np.concatenate([P.sum(axis=2), P.sum(axis=1)], axis=1)
+        g = sums - 1.0
+        residual = np.abs(g).max(axis=1)
+        active = residual > tol
+        if it == max_iter or not active.any():
+            break
+        H[:, diag, diag] = sums * (1.0 + _RIDGE)
+        H[:, :M, M:] = P
+        H[:, M:, :M] = P.transpose(0, 2, 1)
+        a, b = np.split(np.linalg.solve(H, -g[:, :, None])[:, :, 0], 2, axis=1)
+        c = (a.sum(axis=1) - b.sum(axis=1)) / (2 * M)
+        a, b = a - c[:, None], b + c[:, None]
+        S = a[:, :, None] + b[:, None, :]
+        slope = (g[:, :M] * a).sum(axis=1) + (g[:, M:] * b).sum(axis=1)
+        total = a.sum(axis=1) + b.sum(axis=1)
+        t = np.where(active, 1.0 / np.maximum(1.0, (S / (_MAX_LOG - logP)).max(axis=(1, 2))), 0.0)
+        for _ in range(_MAX_HALVINGS):
+            move = t[:, None, None] * S
+            change = np.where(move > 0, -np.exp(logP + move), P) * np.expm1(-np.abs(move))
+            # summed over the matrix rows first, as the kernel sums
+            short = change.sum(axis=1).sum(axis=1) - t * total > _ARMIJO * t * slope
+            if not short.any():
+                break
+            t[short] *= 0.5
+        else:
+            t[short] = 0.0
+        logP += t[:, None, None] * S
+    if not np.all(residual <= 10 * tol):
+        worst = int(np.argmax(residual))
+        raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
+    return np.maximum(logP, _LOG_FLOOR).reshape(B, -1), np.maximum(P, PROB_FLOOR).reshape(B, -1)
+
+
+# Sinkhorn's sweeps, which the Newton kernel replaced, are a reference
+# within tolerance where their linear rate converges, under their own cap
+SWEEPS, SWEEPS_ATOL = 10_000, 1e-8
+
+
+def row_sinkhorn_scale(logK, tol=SINKHORN_TOL, max_iter=SWEEPS):
     """Sinkhorn scaling of exp(logK) for a (B, M, M) stack, one stop per matrix."""
     logK = logK - logK.max(axis=(1, 2), keepdims=True)
     K = np.exp(logK)
@@ -145,13 +201,6 @@ def row_sinkhorn_scale(logK, tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
         if residual[worst] > 10 * tol:
             raise SinkhornConvergenceError(float(residual[worst]), max_iter, worst)
     return K.reshape(B, -1)
-
-
-def row_sinkhorn(L, G, eta, tol=SINKHORN_TOL, max_iter=SINKHORN_MAX_ITER):
-    B = L.shape[0]
-    M = math.isqrt(L.shape[1])
-    P = np.maximum(row_sinkhorn_scale((L + eta * G).reshape(B, M, M), tol, max_iter), PROB_FLOOR)
-    return np.log(P), P
 
 
 def row_chain_views(task, S):
@@ -227,9 +276,7 @@ def prob_chain(P, G, eta, M, R):
 
 
 def prob_sinkhorn(P, G, eta):
-    B = P.shape[0]
-    M = math.isqrt(P.shape[1])
-    return np.maximum(row_sinkhorn_scale((np.log(P) + eta * G).reshape(B, M, M)), PROB_FLOOR)
+    return row_sinkhorn_newton(np.log(P), G, eta)[1]
 
 
 def prob_project(task, P, G, eta):
@@ -330,18 +377,44 @@ def test_chain_matches_row_reference(M, R, rows, scale, seed):
     assert_matches(got_p[:, U:], ref_p[:, U:], M == 1 or R * R < 8)
 
 
+def birkhoff_points(M, rng, rows):
+    """Interior rows of the Birkhoff polytope; from M = 5 on, Dirichlet rows."""
+    if M <= 4:
+        return interior_points(RankingTask(M), rng, rows)
+    return np.maximum(rng.dirichlet(np.ones(M), size=(rows, M)).reshape(rows, M * M), 1e-6)
+
+
 @draws
-@given(M=st.integers(2, 6), rows=st.integers(1, 6), scale=st.sampled_from([0.1, 1.0, 3.0]),
+@given(M=st.integers(2, 7), rows=st.integers(1, 6), scale=st.sampled_from([0.1, 3.0, 30.0]),
        seed=seeds)
 def test_sinkhorn_matches_row_reference(M, rows, scale, seed):
+    # every sum in the kernel runs over M < 8 terms
     rng = np.random.default_rng(seed)
-    P = interior_points(RankingTask(M), rng, rows) if M <= 4 else np.maximum(
-        rng.dirichlet(np.ones(M), size=(rows, M)).reshape(rows, M * M), 1e-6)
-    L = np.log(P)
-    G = rng.normal(size=P.shape) * scale
+    L = np.log(birkhoff_points(M, rng, rows))
+    G = rng.normal(size=L.shape) * scale
     got = _sinkhorn_stack(columns(L), columns(G), 1.0)
-    for g, r in zip(got, row_sinkhorn(L, G, 1.0)):
+    for g, r in zip(got, row_sinkhorn_newton(L, G, 1.0)):
         assert_matches(g, r.T, True)
+
+
+@draws
+@given(M=st.integers(2, 5), rows=st.integers(1, 6), rate=st.sampled_from([0.1, 1.0, 5.0]),
+       seed=seeds)
+def test_sinkhorn_is_doubly_stochastic_and_matches_sweeps(M, rows, rate, seed):
+    # the projection Sinkhorn's sweeps compute, wherever they converge
+    rng = np.random.default_rng(seed)
+    L = np.log(birkhoff_points(M, rng, rows))
+    G = rng.normal(size=L.shape)
+    P = _sinkhorn_stack(columns(L), columns(G), rate)[1].T
+    Q = P.reshape(rows, M, M)
+    assert np.abs(Q.sum(axis=2) - 1.0).max() <= SINKHORN_TOL + M * PROB_FLOOR
+    assert np.abs(Q.sum(axis=1) - 1.0).max() <= SINKHORN_TOL + M * PROB_FLOOR
+    for b in range(rows):
+        try:
+            ref = row_sinkhorn_scale((L[b] + rate * G[b]).reshape(1, M, M))
+        except SinkhornConvergenceError:
+            continue
+        assert np.abs(P[b] - np.maximum(ref[0], PROB_FLOOR)).max() <= SWEEPS_ATOL
 
 
 def _blocks(task):
@@ -381,8 +454,7 @@ ENGINE_TASKS = [MulticlassTask(3), OrdinalTask(5), ChainTask(3, 2), RankingTask(
 def test_mirror_prox_stack_equals_row_calls(task):
     rng = np.random.default_rng(31)
     rows = 5
-    # ranking scores stay small: steep ones stall Sinkhorn
-    V = rng.normal(size=(rows, task.embed_dim)) * (0.5 if task.kind == "ranking" else 3.0)
+    V = rng.normal(size=(rows, task.embed_dim)) * 3.0
     mu = interior_points(task, rng, rows)
     nu = interior_points(task, rng, rows)
     for init in (None, (mu, nu)):
@@ -400,7 +472,7 @@ def test_adaptive_stack_equals_row_calls(task):
     # each row keeps its own steps, so stacking rows changes no bit
     rng = np.random.default_rng(32)
     rows = 6
-    V = rng.normal(size=(rows, task.embed_dim)) * (0.03 if task.kind == "ranking" else 3.0)
+    V = rng.normal(size=(rows, task.embed_dim)) * 3.0
     V[0] *= 10.0  # rows whose steps settle apart
     stacks = spmp_solve_batch_simplex(V, task, 30, None, None, True)
     for b in range(rows):
@@ -413,8 +485,6 @@ def test_adaptive_stack_equals_row_calls(task):
        scale=st.sampled_from([0.3, 3.0, 30.0]), warm=st.booleans(), seed=seeds)
 def test_engine_matches_probability_domain_reference(task, rows, K, scale, warm, seed):
     rng = np.random.default_rng(seed)
-    if task.kind == "ranking":
-        scale = min(scale, 0.03)  # steeper ranking scores stall Sinkhorn
     V = rng.normal(size=(rows, task.embed_dim)) * scale
     init = (interior_points(task, rng, rows), interior_points(task, rng, rows)) if warm else None
     got = spmp_solve_batch_simplex(V, task, K, None, init)
@@ -425,7 +495,7 @@ def test_engine_matches_probability_domain_reference(task, rows, K, scale, warm,
 @pytest.mark.parametrize(
     "task, scale",
     [(MulticlassTask(3), 30.0), (OrdinalTask(4), 30.0), (ChainTask(3, 2), 30.0),
-     (RankingTask(3), 0.01)],  # interior scores: steeper ones stall Sinkhorn
+     (RankingTask(3), 30.0)],
     ids=lambda x: getattr(x, "kind", str(x)),
 )
 def test_engine_outputs_stay_off_the_subnormal_range(task, scale):
@@ -566,7 +636,7 @@ def test_sinkhorn_error_names_the_failing_column():
     rng = np.random.default_rng(5)
     M = 4
     P = np.stack([
-        np.full(M * M, 1.0 / M),  # doubly stochastic already: converged after one sweep
+        np.full(M * M, 1.0 / M),  # doubly stochastic already: converged before any step
         np.maximum(rng.dirichlet(np.ones(M), size=M).ravel(), 1e-6),
     ])
     G = np.stack([np.zeros(M * M), rng.normal(size=M * M) * 3])

@@ -177,6 +177,16 @@ def test_ranking_solver_valid_states():
     assert res.gap >= -1e-9
 
 
+def test_ranking_solver_finishes_on_steep_scores():
+    # near-vertex iterates on which Sinkhorn's sweeps stalled at a residual
+    # of 2e-8 and raised after 100 000 of them
+    t = RankingTask(M=4)
+    res = spmp_solve(30 * np.random.default_rng(0).normal(size=16), t, K=50)
+    for x in (res.mu_bar, res.nu_bar, res.mu_last, res.nu_last):
+        t.check_state(x)
+    assert 0.0 <= res.gap < 1.0
+
+
 def _hand_rolled_solve(t, v, K, mu, nu):
     """The solver loop written out with one-vector projections."""
     rate = (1.0 / (2.0 * t.l_spmp)) * t.r2
@@ -331,8 +341,7 @@ def _recorded_rates(monkeypatch, t):
 
 @pytest.mark.parametrize("t, scale", [
     *((t, s) for t in (MulticlassTask(3), OrdinalTask(5), ChainTask(4, 3)) for s in (0.3, 3.0, 30.0)),
-    # rankings keep the worst-case step; steeper scores stall Sinkhorn
-    (RankingTask(3), 0.03),
+    *((RankingTask(3), s) for s in (0.03, 0.3, 3.0, 30.0)),
 ], ids=lambda x: getattr(x, "kind", str(x)))
 def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, scale):
     # 64 random rows; on chains some fail the criterion even at the
@@ -350,7 +359,7 @@ def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, sca
     assert np.array_equal(np.exp2(np.round(np.log2(steps))), steps)
     assert np.array_equal(steps[:, :64], steps[:, 64:])
     assert np.all(np.diff(steps, axis=0) <= 0)
-    assert steps[0, 0] == t.adaptive_start
+    assert steps[0, 0] == oracle.ADAPTIVE_START
     for x in out:
         t.check_state(x.T)
 
@@ -382,16 +391,16 @@ def _counted_bregman(monkeypatch, t):
 @pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(5), ChainTask(1, 3), ChainTask(4, 3),
                                RankingTask(3)], ids=lambda t: f"{t.kind}{t.embed_dim}")
 def test_fixed_steps_never_check_the_criterion(monkeypatch, t):
-    # block updates (warm started), calibration's step and spmp_solve; and
-    # rankings, whose adaptive steps start at the worst-case step
+    # block updates (warm started), calibration's step and spmp_solve; an
+    # adaptive call, on every task, checks from its first round on
     calls = _counted_bregman(monkeypatch, t)
-    V = np.random.default_rng(5).normal(size=(7, t.embed_dim)) * (0.03 if t.kind == "ranking" else 2.0)
+    V = np.random.default_rng(5).normal(size=(7, t.embed_dim)) * 2.0
     out = spmp_solve_batch_simplex(V, t, 20)
     spmp_solve_batch_simplex(V, t, 20, t.certify_eta, (out[2], out[3]))
     spmp_solve(V[0], t, K=20)
-    if t.kind == "ranking":
-        spmp_solve_batch_simplex(V, t, 20, None, None, True)
     assert calls == []
+    spmp_solve_batch_simplex(V, t, 1, None, None, True)
+    assert calls
 
 
 def test_criterion_runs_only_above_the_worst_case_step(monkeypatch):
@@ -435,10 +444,10 @@ def _hand_rolled_adaptive(t, v, K):
 
 
 def _hand_rolled_cases():
-    """Six tasks at score scales 0.3, 2 and 30; the first three at scale 2 are named by kind."""
+    """Seven tasks at score scales 0.3, 2 and 30; the first three at scale 2 are named by kind."""
     first = (MulticlassTask(3), OrdinalTask(4), ChainTask(3, 2))
     cases = [pytest.param(t, 2.0, id=t.kind) for t in first]
-    for t in first + (OrdinalTask(6), ChainTask(1, 3), ChainTask(4, 3)):
+    for t in first + (OrdinalTask(6), ChainTask(1, 3), ChainTask(4, 3), RankingTask(3)):
         cases += [pytest.param(t, s, id=f"{t.kind}{t.embed_dim}-{s}")
                   for s in (0.3, 2.0, 30.0) if t not in first or s != 2.0]
     return cases
@@ -463,3 +472,12 @@ def test_adaptive_certificate_beats_the_worst_case_step():
     fixed = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50)[1], V, t)
     adaptive = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50, None, None, True)[1], V, t)
     assert adaptive.mean() < fixed.mean()
+
+
+def test_adaptive_ranking_certificate_beats_the_worst_case_step():
+    # rankings step adaptively too: a tenth of the worst-case step's gap
+    t = RankingTask(3)
+    V = np.random.default_rng(4).normal(size=(20, t.embed_dim)) * 3.0
+    fixed = certified_gap(*spmp_solve_batch_simplex(V, t, 50)[:2], V, t)
+    adaptive = certified_gap(*spmp_solve_batch_simplex(V, t, 50, None, None, True)[:2], V, t)
+    assert adaptive.mean() < 0.1 * fixed.mean()

@@ -189,8 +189,8 @@ def birkhoff_projection(task, mu_prev, grad, eta):
 
 
 # chain and simplex rows include near-vertex points and steep gradients;
-# ranking rows stay inside, where Sinkhorn converges (it stalls near a
-# vertex: test_sinkhorn_stalls_near_a_vertex)
+# ranking rows stay inside, where the Sinkhorn reference converges (it
+# stalls near a vertex: test_sinkhorn_converges_near_a_vertex)
 STACK_CASES = [
     pytest.param(ChainTask(M=1, R=2), gibbs_chain_projection, 12, True, id="1-2"),
     pytest.param(ChainTask(M=2, R=2), gibbs_chain_projection, 22, True, id="2-2"),
@@ -296,13 +296,27 @@ def test_sinkhorn_residual_nonincreasing():
         assert b <= a + 1e-15
 
 
-@pytest.mark.xfail(raises=SinkhornConvergenceError, strict=True,
-                   reason="Sinkhorn's linear rate stalls near a permutation matrix")
-def test_sinkhorn_stalls_near_a_vertex():
+def test_sinkhorn_converges_near_a_vertex():
+    # Sinkhorn's sweeps stall here at their linear rate; Newton steps converge
     task = RankingTask(M=3)
     rng = np.random.default_rng(53)
     mu = near_vertex_chain_state(task, rng)
-    project(task, mu, rng.normal(size=task.embed_dim), 0.8)
+    out = project(task, mu, rng.normal(size=task.embed_dim), 0.8)
+    task.check_state(out)
+    mat = out.reshape(3, 3)
+    assert np.abs(mat.sum(axis=0) - 1.0).max() <= 1e-9
+    assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_sinkhorn_finishes_where_sweeps_fail_from_the_uniform_point():
+    # one M=4 projection at rate 5 whose Sinkhorn residual fell like
+    # 1/sweeps, to 3.9e-6 after 100 000 of them
+    rng = np.random.default_rng(1)
+    rng.normal(size=(9, 64))
+    g = rng.normal(size=(16, 64))[:, 28]
+    out = project_birkhoff_sinkhorn(np.full(16, 0.25), g, 5.0).reshape(4, 4)
+    assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-9
+    assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_sinkhorn_convergence_failure_carries_residual():
@@ -315,16 +329,15 @@ def test_sinkhorn_convergence_failure_carries_residual():
     assert exc.value.residual > 0
 
 
-def test_sinkhorn_fails_fast_on_a_row_flushed_to_zero():
-    # exp flushes a whole row of the kernel to zero: no scaling exists, so
-    # the projection raises before its first sweep instead of carrying nan
+def test_sinkhorn_scales_a_row_exp_flushes_to_zero():
+    # exp(-1000) flushes a whole row of the kernel to zero, but in the log
+    # domain the row scales like any other: a constant per row cancels
     M = 3
     mu = np.full(M * M, 1.0 / M)
     grad = np.zeros(M * M)
     grad[M:2 * M] = -1.0  # row 2, 1000 nats below the rest at eta 1000
-    with pytest.raises(SinkhornConvergenceError) as exc:
-        project_birkhoff_sinkhorn(mu, grad, 1000.0)
-    assert exc.value.residual == np.inf
+    # logs near -1000 carry rounding of about 1e-13
+    assert np.abs(project_birkhoff_sinkhorn(mu, grad, 1000.0) - mu).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

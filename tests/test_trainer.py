@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from maxminsp import trainer
-from maxminsp.datasets import synth_blobs, synth_hmm
+from maxminsp.datasets import synth_blobs, synth_hmm, synth_ranking
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
 from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
-from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask
+from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 from maxminsp.trainer import (
     DualModel,
     TrainConfig,
@@ -267,7 +267,7 @@ def exact_dual_gaps(model, mu=None):
 def _interval_setup(kind, size, M, R, n, scale, seed):
     """An untrained model on seeded random inputs, with a random state of the polytope."""
     task = {"multiclass": lambda: MulticlassTask(k=size), "ordinal": lambda: OrdinalTask(k=size),
-            "chain": lambda: ChainTask(M=M, R=R)}[kind]()
+            "chain": lambda: ChainTask(M=M, R=R), "ranking": lambda: RankingTask(M=M)}[kind]()
     rng = np.random.default_rng(seed)
     labels = list(task.labels())
     ys = [labels[j] for j in rng.integers(len(labels), size=n)]
@@ -281,7 +281,7 @@ def _interval_setup(kind, size, M, R, n, scale, seed):
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(kind=st.sampled_from(["multiclass", "ordinal", "chain"]), size=st.integers(2, 5),
+@given(kind=st.sampled_from(["multiclass", "ordinal", "chain", "ranking"]), size=st.integers(2, 5),
        M=st.integers(1, 3), R=st.integers(2, 3), n=st.integers(1, 5),
        scale=st.sampled_from([0.3, 3.0, 30.0]), K=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed):
@@ -315,6 +315,21 @@ def test_hmm_chain_certified_gap_within_one_percent():
     exact = float(np.mean(exact_dual_gaps(model)))
     final = report.records[-1]
     assert final["dual_gap_lower"] <= exact <= final["dual_gap"] <= 1.01 * exact
+
+
+def test_ranking_training_end_to_end():
+    ds, _, _ = synth_ranking(n=12, M=3, seed=0)
+    task = RankingTask(M=3)
+    cfg = TrainConfig(passes=3, lam=0.1, spmp_iters=20, gap_oracle_iters=100, seed=0,
+                      kernel=KernelSpec("gaussian", median_heuristic(ds.xs)))
+    model, report = gbcfw_train((ds.xs, ds.ys), task, cfg)
+    assert np.max(np.abs(model.kernel_coeffs - coeffs_from_scratch(model))) < 1e-12
+    for y in predict(model, ds.xs):
+        task.check_label(y)
+    exact = float(np.mean(exact_dual_gaps(model)))
+    final = report.records[-1]
+    assert final["dual_gap_lower"] <= exact + 1e-9 and exact <= final["dual_gap"] + 1e-9
+    assert final["dual_gap"] < report.records[0]["dual_gap"]
 
 
 def _certified_setups():
