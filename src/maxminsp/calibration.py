@@ -5,7 +5,8 @@ conditional moment mu to the excess task risk delta_l of its decoded label.
 The calibration curve zeta(eps) = inf { delta_s : delta_l >= eps } is
 estimated by randomized search over score vectors and label mixtures, with
 one path for every task of at most six labels; the linear constant C
-(optimal labels carry probability at least 1/C) is computed analytically.
+(optimal labels carry probability at least 1/C) is each task's
+`constant_c`.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import spmp_solve_batch_simplex
-from .tasks import ChainTask, MulticlassTask, RankingTask, Task
+from .tasks import RankingTask, Task
 
 __all__ = [
     "CalibrationEstimate",
     "zeta_bruteforce",
-    "constant_c",
     "ranking_d_bound",
 ]
 
@@ -35,15 +35,17 @@ class CalibrationEstimate:
     witnesses: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _excess_task_risk(task: Task, S: np.ndarray, Mu: np.ndarray) -> np.ndarray:
+def _excess_task_risk(task: Task, S: np.ndarray, Mu: np.ndarray, bayes=None) -> np.ndarray:
     """delta_l = risk of the decoded label under mu minus the Bayes risk.
 
     S and Mu are one vector each or (k, B) column stacks of scores and
-    moments; returns B values.
+    moments; bayes, when the caller has it, is `task.bayes_risk(Mu)`.
+    Returns B values.
     """
     S, Mu = (np.asarray(x, dtype=float).reshape(len(x), -1) for x in (S, Mu))
     decoded = np.stack([task.embed(y) for y in task.decode(S)], axis=1)
-    return np.einsum("ij,ij->j", decoded, task.apply_loss_matrix(Mu)) - task.bayes_risk(Mu)
+    bayes = task.bayes_risk(Mu) if bayes is None else bayes
+    return np.einsum("ij,ij->j", decoded, task.apply_loss_matrix(Mu)) - bayes
 
 
 def zeta_bruteforce(
@@ -67,7 +69,8 @@ def zeta_bruteforce(
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
     oracle solve, with the task's certification step when it has one, then
-    one `bayes_risk` call per inner minimum covers every search row.
+    one `bayes_risk` call on the averaged players and one on the moments,
+    shared by delta_s and delta_l, cover every search row.
     """
     if task.n_labels() > 6:
         raise ValueError("output space too large for brute-force calibration")
@@ -83,12 +86,14 @@ def zeta_bruteforce(
     Mus = np.vstack([Mus, rng.dirichlet(0.5 * np.ones(n), size=B // 2) @ E])
     mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
 
-    def inner_min(Mu):
+    def inner_min(Mu, bayes):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
-        return np.einsum("ij,ij->i", V, Mu) + task.bayes_risk(np.ascontiguousarray(Mu.T))
+        return np.einsum("ij,ij->i", V, Mu) + bayes
 
-    ds = inner_min(mu_bars) - inner_min(Mus)
-    dl = _excess_task_risk(task, np.ascontiguousarray(V.T), np.ascontiguousarray(Mus.T))
+    MusT = np.ascontiguousarray(Mus.T)
+    bayes = task.bayes_risk(MusT)
+    ds = inner_min(mu_bars, task.bayes_risk(np.ascontiguousarray(mu_bars.T))) - inner_min(Mus, bayes)
+    dl = _excess_task_risk(task, np.ascontiguousarray(V.T), MusT, bayes)
 
     estimate = CalibrationEstimate(zeta_lower={})
     for eps in eps_grid:
@@ -100,24 +105,6 @@ def zeta_bruteforce(
         estimate.zeta_lower[eps] = max(float(ds[idx]), 0.0)
         estimate.witnesses[eps] = (V[idx].copy(), Mus[idx].copy())
     return estimate
-
-
-def constant_c(task: Task) -> float:
-    """Smallest C such that some loss-minimizing label has probability 1/C.
-
-    Multiclass 0-1 loss attains the bound at the uniform distribution
-    (C = k); decomposable chain losses take the per-part value R.  Two
-    ordinal labels carry the 0-1 loss; from three on no C exists, so C is
-    `math.inf`: under (1/2 - e/2, e, 1/2 - e/2) on labels 1 to 3 the middle
-    label is the one minimizer of the absolute loss, at mass e.
-    """
-    if isinstance(task, MulticlassTask):
-        return float(task.k)
-    if isinstance(task, ChainTask):
-        return float(task.R)
-    if isinstance(task, RankingTask):
-        return float(math.factorial(task.M))
-    return 2.0 if task.k == 2 else math.inf  # ordinal
 
 
 def ranking_d_bound(M: int) -> float:

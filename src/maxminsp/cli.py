@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .calibration import constant_c, ranking_d_bound, zeta_bruteforce
+from .calibration import ranking_d_bound, zeta_bruteforce
 from .datasets import Dataset, DatasetFormatError, load_dataset, make_synth
 from .kernels import KernelSpec, median_heuristic
 from .tasks import make_task
@@ -159,6 +159,13 @@ def main():
     """Structured prediction benchmark driver."""
 
 
+def _finite_float(token: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float, if finite."""
+    if not math.isfinite(value := float(token)):
+        raise ValueError(token)
+    return value
+
+
 @main.command()
 @click.option("--kind", required=True,
               type=click.Choice(["blobs", "flatnoise", "ordinal", "hmm", "ranking"]))
@@ -175,9 +182,11 @@ def synth(kind, n, seed, out, params):
             _fail(EXIT_PARSE, f"bad --param {p!r}, expected name=value")
         name, value = p.split("=", 1)
         try:
-            kwargs[name] = json.loads(value)
+            kwargs[name] = json.loads(value, parse_constant=_finite_float, parse_float=_finite_float)
         except json.JSONDecodeError:
             _fail(EXIT_PARSE, f"bad value in --param {p!r}")
+        except ValueError:
+            _fail(EXIT_PARSE, f"--param {name}= must be finite, got {value}")
     try:
         ds = make_synth(kind, out, seed=seed, n=n, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -294,8 +303,7 @@ def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):
         else:
             task = make_task("ranking", M=rank_m)
         records = []
-        c = constant_c(task)
-        rec = {"task": task_kind, "constant_c": c}
+        rec = {"task": task_kind, "constant_c": task.constant_c}
         if task_kind == "ranking":
             rec["constant_d_bound"] = ranking_d_bound(rank_m)
         else:

@@ -5,10 +5,9 @@ the affine form  L(y, y') = phi(y)^T A phi(y') + a  with a structured matrix
 A (dense for multiclass/ordinal, block-diagonal unary blocks for chains,
 -I/M for rankings).  Optimization always runs on the centered bilinear part;
 the offset `a` is re-added whenever a human-readable loss or risk is
-reported.  Each task also owns its marginal polytope: the stack projection
-under the polytope's entropy, that entropy's Bregman divergence (`bregman`,
-which the solver's adaptive steps check against) and the constants that
-set the saddle solver's step.
+reported.  Each task owns its marginal polytope (the stack projection under
+its entropy, the constants that set the saddle solver's step, and the signs
+that the base class's one `bregman` reads) and its loss's `constant_c`.
 
 One layout rule: Task methods take columns, module-level functions keep
 rows.  Every stack method takes one vector or a (dim, B) column stack,
@@ -66,17 +65,6 @@ def _check_sizes(**sizes) -> None:
             raise ValueError(f"task size {name} must be an integer, got {value!r}")
 
 
-def _kl_stack(L, P, L_ref, P_ref) -> np.ndarray:
-    """KL(P || P_ref) per column of two softmax iterates.
-
-    L is log P up to a constant per column, which any entry fixes: the
-    first one is read, log P = L - (L[0] - log P[0]).
-    """
-    D = L - L_ref
-    D *= P
-    return D.sum(axis=0) - (L[0] - L_ref[0]) + np.log(P[0] / P_ref[0])
-
-
 def _first_argmax(C: np.ndarray) -> np.ndarray:
     """Index of the first maximum down each column of C, by a running comparison."""
     best, idx = C[0].copy(), np.zeros(C.shape[1:], dtype=np.intp)
@@ -100,6 +88,10 @@ class Task:
     `l_spmp` is the theory smoothness constant of the saddle problem.
     `certify_eta`, when set, is the fixed step of calibration's batched
     solve; dual-gap certification picks its steps adaptively instead.
+    `_entropy_signs` holds the sign of each term of the polytope's entropy.
+    `constant_c` is the smallest C such that, under every label
+    distribution, some loss-minimizing label has probability at least 1/C
+    (`math.inf` when no C exists).
     """
 
     kind: str
@@ -108,7 +100,9 @@ class Task:
     r2: float
     diameter_sq: float
     l_spmp: float
+    constant_c: float
     certify_eta: float | None = None
+    _entropy_signs = 1.0
 
     # -- labels ----------------------------------------------------------
     def check_label(self, y) -> None:
@@ -198,6 +192,21 @@ class Task:
         """
         raise NotImplementedError
 
+    def bregman(self, L, P, L_ref, P_ref) -> np.ndarray:
+        """D(P, P_ref) per column for the entropy sum_i s_i (P_i log P_i - P_i).
+
+        L and L_ref are the log-iterates `project_stack` returns with P and
+        P_ref, log P up to a constant per column, which the first entry's
+        term takes out once: exact where the signed mass sum_i s_i P_i is 1
+        (simplices, chains); rankings, of mass M, need L = log P.
+        """
+        D = L - L_ref
+        D *= P
+        D += P_ref
+        D -= P
+        D *= self._entropy_signs
+        return D.sum(axis=0) - (L[0] - L_ref[0]) + np.log(P[0] / P_ref[0])
+
 
 @dataclass(frozen=True)
 class SimplexTask(Task):
@@ -281,9 +290,6 @@ class SimplexTask(Task):
     def project_stack(self, L, G, eta):
         return _softmax_stack(L, G, eta)
 
-    def bregman(self, L, P, L_ref, P_ref):
-        return _kl_stack(L, P, L_ref, P_ref)
-
 
 @dataclass(frozen=True)
 class MulticlassTask(SimplexTask):
@@ -292,6 +298,10 @@ class MulticlassTask(SimplexTask):
     kind = "multiclass"
     offset = 1.0
     loss_norm = 1.0
+
+    @property
+    def constant_c(self) -> float:
+        return float(self.k)  # attained at the uniform distribution
 
     @cached_property
     def loss_matrix(self):
@@ -311,6 +321,12 @@ class OrdinalTask(SimplexTask):
     kind = "ordinal"
     offset = 0.0
 
+    @property
+    def constant_c(self) -> float:
+        # two labels carry the 0-1 loss; from three on, (1/2 - e/2, e, 1/2 - e/2)
+        # on labels 1 to 3 has the middle one as its one minimizer, at mass e
+        return 2.0 if self.k == 2 else math.inf
+
     @cached_property
     def loss_matrix(self):
         idx = np.arange(1, self.k + 1)
@@ -329,6 +345,7 @@ class ChainTask(Task):
     M: int
     R: int
     kind = "chain"
+    offset = 0.0
 
     def __post_init__(self):
         _check_sizes(M=self.M, R=self.R)
@@ -342,12 +359,12 @@ class ChainTask(Task):
         return self.M * self.R + (self.M - 1) * self.R * self.R
 
     @property
-    def offset(self) -> float:
-        return 0.0
-
-    @property
     def unary_dim(self) -> int:
         return self.M * self.R
+
+    @property
+    def constant_c(self) -> float:
+        return float(self.R)  # the per-part value of the decomposable Hamming loss
 
     def part_loss_matrix(self) -> np.ndarray:
         """Per-position 0-1 loss matrix (unnormalized)."""
@@ -486,19 +503,11 @@ class ChainTask(Task):
     @cached_property
     def _entropy_signs(self) -> np.ndarray:
         """(embed_dim, 1) signs of the junction-tree entropy: +1 on pairwise
-        blocks, -1 on interior unaries, 0 on the two end unaries."""
-        u = np.zeros((self.M, self.R))
+        blocks, and on each unary 1 minus its number of neighbours: -1
+        inside, 0 at the two ends, +1 for a single position."""
+        u = np.full((self.M, self.R), float(self.M == 1))
         u[1:-1] = -1.0
         return _read_only(np.concatenate([u.ravel(), np.ones(self.embed_dim - self.unary_dim)])[:, None])
-
-    def bregman(self, L, P, L_ref, P_ref):
-        if self.M == 1:  # one unary block: the simplex, as in the kernel
-            return _kl_stack(L, P, L_ref, P_ref)
-        # signed block KLs; the kernel's log-marginals are normalized
-        D = L - L_ref
-        D *= P
-        D *= self._entropy_signs
-        return D.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -512,6 +521,7 @@ class RankingTask(Task):
 
     M: int
     kind = "ranking"
+    offset = 1.0
 
     def __post_init__(self):
         _check_sizes(M=self.M)
@@ -521,10 +531,6 @@ class RankingTask(Task):
     @cached_property
     def embed_dim(self) -> int:
         return self.M * self.M
-
-    @property
-    def offset(self) -> float:
-        return 1.0
 
     @property
     def diameter_sq(self) -> float:
@@ -537,6 +543,10 @@ class RankingTask(Task):
     @property
     def l_spmp(self) -> float:
         return float(self.M)
+
+    @property
+    def constant_c(self) -> float:
+        return float(math.factorial(self.M))
 
     def check_label(self, y) -> None:
         if len(y) != self.M or sorted(y) != list(range(1, self.M + 1)):
@@ -607,14 +617,6 @@ class RankingTask(Task):
 
     def project_stack(self, L, G, eta):
         return _sinkhorn_stack(L, G, eta)
-
-    def bregman(self, L, P, L_ref, P_ref):
-        # entry-wise KL of the unnormalized entropy; L is log P
-        D = L - L_ref
-        D *= P
-        D -= P
-        D += P_ref
-        return D.sum(axis=0)
 
 
 def make_task(kind: str, **params) -> Task:

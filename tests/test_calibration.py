@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxminsp import calibration
 from maxminsp.calibration import (
     _excess_task_risk,
-    constant_c,
     ranking_d_bound,
     zeta_bruteforce,
 )
@@ -17,27 +16,27 @@ from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 
 
 def test_constant_c_multiclass_is_k():
-    assert constant_c(MulticlassTask(k=3)) == 3.0
-    assert constant_c(MulticlassTask(k=7)) == 7.0
+    assert MulticlassTask(k=3).constant_c == 3.0
+    assert MulticlassTask(k=7).constant_c == 7.0
 
 
 def test_constant_c_chain_is_per_part_alphabet():
-    assert constant_c(ChainTask(M=3, R=2)) == 2.0
-    assert constant_c(ChainTask(M=2, R=4)) == 4.0
+    assert ChainTask(M=3, R=2).constant_c == 2.0
+    assert ChainTask(M=2, R=4).constant_c == 4.0
 
 
 def test_constant_c_ranking_is_factorial():
-    assert constant_c(RankingTask(M=3)) == 6.0
-    assert constant_c(RankingTask(M=4)) == 24.0
+    assert RankingTask(M=3).constant_c == 6.0
+    assert RankingTask(M=4).constant_c == 24.0
 
 
 def test_constant_c_ordinal_is_unbounded_from_three_labels():
     # two labels carry the 0-1 loss; from three on, the witness
     # (1/2 - e/2, e, 1/2 - e/2, 0, ...) has label 2 as its one minimizer
-    assert constant_c(OrdinalTask(k=2)) == 2.0
+    assert OrdinalTask(k=2).constant_c == 2.0
     for k in (3, 4, 6):
         task = OrdinalTask(k=k)
-        assert constant_c(task) == math.inf
+        assert task.constant_c == math.inf
         E = np.stack([task.embed(y) for y in task.labels()])
         loss = E @ task.apply_loss_matrix(E.T) + task.offset
         for e in (0.3, 1e-3, 1e-6):

@@ -43,10 +43,13 @@ def test_synth_bad_param_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("kind, param", [("hmm", "stay=1.5"), ("hmm", "stay=-0.2"),
-                                         ("blobs", "d=1"), ("hmm", "d=1")])
+                                         ("blobs", "d=1"), ("hmm", "d=1"),
+                                         ("blobs", "separation=NaN"), ("hmm", "emit_sep=NaN"),
+                                         ("ordinal", "noise=Infinity"), ("ranking", "noise=NaN")])
 def test_synth_out_of_range_generator_param_exits_2(tmp_path, kind, param):
-    # a transition matrix with negative entries, or fewer feature columns
-    # than the generator places its means in, is rejected before writing
+    # a transition matrix with negative entries, fewer feature columns than
+    # the generator places its means in, or a non-finite constant, is
+    # rejected before writing
     out = tmp_path / f"{kind}.txt"
     res = run(["synth", "--kind", kind, "--n", "20", "--param", param, "--out", str(out)])
     assert res.exit_code == 2
