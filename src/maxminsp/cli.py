@@ -7,8 +7,9 @@ Subcommands:
          validation, test losses reported as a table
   calib  calibration constants on tiny enumerable tasks
 
-Machine-readable results go to <out>/results.jsonl; per-pass training
-diagnostics (including wall-clock times) to <out>/diagnostics.jsonl.
+Machine-readable results go to <out>/results.jsonl, per-pass diagnostics
+(wall-clock times included) to diagnostics.jsonl and, for train and bench,
+versions, config and data sha256 to manifest.json.
 Exit codes: 0 success, 2 parse/config error, 3 training failure.
 """
 
@@ -18,11 +19,13 @@ import hashlib
 import json
 import math
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import __version__
 from .calibration import ranking_d_bound, zeta_bruteforce
 from .datasets import Dataset, DatasetFormatError, load_dataset, make_synth
 from .kernels import KernelSpec, median_heuristic
@@ -42,9 +45,10 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _file_hash(path) -> int:
-    digest = hashlib.sha256(Path(path).read_bytes()).digest()
-    return int.from_bytes(digest[:8], "big")
+def _file_hash(path) -> tuple[int, str]:
+    """The data file's sha256 as the splits' data word (its first 8 bytes) and in hex."""
+    digest = hashlib.sha256(Path(path).read_bytes())
+    return int.from_bytes(digest.digest()[:8], "big"), digest.hexdigest()
 
 
 def _split_indices(n: int, seed: int, data_hash: int):
@@ -136,6 +140,17 @@ def _emit(out_dir: Path, results: list[dict], diagnostics: list[dict]):
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, records in (("results.jsonl", results), ("diagnostics.jsonl", diagnostics)):
         (out_dir / name).write_text("".join(_json(rec) + "\n" for rec in records))
+
+
+def _write_manifest(out_dir: Path, sha256: str, grid, gamma):
+    """manifest.json: versions, the command's options, grid and gamma resolved, and the data's sha256."""
+    ctx = click.get_current_context()
+    config = {k: v for k, v in ctx.params.items() if k not in ("out", "lam", "lambda_grid", "kernel_gamma")}
+    config.update(command=ctx.info_name, lambda_grid=grid, kernel_gamma="median" if gamma is None else gamma)
+    versions = {name: metadata.version(name) for name in ("numpy", "scipy", "click")}
+    versions.update(maxminsp=__version__, python=sys.version.split()[0])
+    record = {"versions": versions, "config": config, "data_sha256": sha256}
+    (out_dir / "manifest.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _table(rows: list[dict], columns: list[str]) -> str:
@@ -241,13 +256,15 @@ def train(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
           warm_start, kernel_gamma, seed, out):
     """One training run on a single seeded 60/20/20 split."""
     ds, task, grid, gamma = _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma)
+    data_hash, sha256 = _file_hash(data)
     try:
         results, diagnostics = _train_split(
-            ds, task, Path(data).name, _file_hash(data), seed, grid, method,
+            ds, task, Path(data).name, data_hash, seed, grid, method,
             passes, spmp_iters, warm_start == "on", gamma)
     except (RuntimeError, ValueError) as exc:
         _fail(EXIT_TRAIN, str(exc))
     _emit(Path(out), results, diagnostics)
+    _write_manifest(Path(out), sha256, grid, gamma)
     best = min(results, key=lambda r: r["val_loss"])
     click.echo(_table(results, ["dataset", "method", "lambda", "val_loss", "test_loss"]))
     click.echo(f"selected lambda={best['lambda']} test_loss={best['test_loss']:.4f}")
@@ -260,7 +277,7 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
           warm_start, kernel_gamma, seed, out, splits):
     """Full protocol: seeded splits, lambda selected on validation."""
     ds, task, grid, gamma = _parse_config(data, task_kind, lam, lambda_grid, kernel_gamma)
-    data_hash = _file_hash(data)
+    data_hash, sha256 = _file_hash(data)
     results, diagnostics = [], []
     try:
         for split_seed in range(seed, seed + splits):
@@ -272,6 +289,7 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
     except (RuntimeError, ValueError) as exc:
         _fail(EXIT_TRAIN, str(exc))
     _emit(Path(out), results, diagnostics)
+    _write_manifest(Path(out), sha256, grid, gamma)
     losses = [r["test_loss"] for r in results]
     mean, std = float(np.mean(losses)), float(np.std(losses))
     table = _table(results, ["dataset", "method", "split_seed", "lambda", "val_loss", "test_loss"])
@@ -302,18 +320,16 @@ def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):
             task = make_task("chain", M=chain_m, R=chain_r)
         else:
             task = make_task("ranking", M=rank_m)
-        records = []
         rec = {"task": task_kind, "constant_c": task.constant_c}
         if task_kind == "ranking":
             rec["constant_d_bound"] = ranking_d_bound(rank_m)
         else:
             est = zeta_bruteforce(task, [0.1, 0.3, 0.5], search_budget=budget, seed=seed)
             rec["zeta_lower"] = {str(e): v for e, v in est.zeta_lower.items()}
-        records.append(rec)
     except (ValueError, AssertionError) as exc:
         _fail(EXIT_PARSE, str(exc))
-    _emit(Path(out), records, [])
-    click.echo(_json(records[0]))
+    _emit(Path(out), [rec], [])
+    click.echo(_json(rec))
 
 
 if __name__ == "__main__":

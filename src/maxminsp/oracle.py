@@ -11,9 +11,9 @@ apply-A and one projection call on it.  The projections pass log-iterates
 on, so the engine takes one log per call.  One layout rule (see `tasks`):
 Task methods take column stacks, and this module's functions keep (B, dim)
 rows, each transposing once inside, so the column stack never leaves the
-engine.  The polytope enters only through the task: its `project_stack`,
-`apply_loss_matrix`, `check_state`, `score_stack`, `l_spmp` and `r2`, and
-for adaptive steps its `bregman`.
+engine.  The polytope enters only through the task: `project_stack` and
+`loss_stack` (unchecked: the engine checks its stack once), `check_state`,
+`score_stack`, `l_spmp`, `r2` and, for adaptive steps, `bregman`.
 
 Every call runs one round loop, at a fixed step except in dual-gap
 certification, which asks for adaptive steps: while some row's step is
@@ -119,7 +119,7 @@ def spmp_solve_batch_simplex(
     VT = task.score_stack(np.ascontiguousarray(V.T))
     B = len(V)
     rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
-    apply_a = task.apply_loss_matrix
+    apply_a = task.loss_stack
     proj = task.project_stack
     if init is None:
         X = np.tile(task.uniform_state()[:, None], (1, 2 * B))

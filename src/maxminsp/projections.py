@@ -69,8 +69,9 @@ class SinkhornConvergenceError(RuntimeError):
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the leading axis, shifted by the maximum; x is finite."""
-    top = x.max(axis=0)
-    return np.log(np.exp(x - top).sum(axis=0)) + top
+    top = np.maximum.reduce(x, axis=0)
+    s = np.add.reduce(np.exp(x - top), axis=0)
+    return np.add(np.log(s, out=s), top, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +82,10 @@ def _softmax_stack(L: np.ndarray, G: np.ndarray, eta: float) -> tuple[np.ndarray
     """Exponentiated-gradient step per column: proportional to exp(L + eta*G)."""
     Z = eta * G
     Z += L  # in place: one temporary fewer than L + eta * G
-    Z -= Z.max(axis=0)
+    Z -= np.maximum.reduce(Z, axis=0)
     np.maximum(Z, _LOG_FLOOR, out=Z)
     P = np.exp(Z)
-    P /= P.sum(axis=0)
+    P /= np.add.reduce(P, axis=0)
     return Z, P
 
 
@@ -105,31 +106,37 @@ def _chain_stack(L: np.ndarray, G: np.ndarray, eta: float, M: int, R: int) -> tu
 
     # theta follows from the gradient of the junction-tree entropy at the
     # iterate: pairwise blocks carry +log, interior unaries carry -log
-    theta_u = eta * G[:U].reshape(M, R, B)
+    theta = eta * G
+    theta_u, theta_p = theta[:U].reshape(M, R, B), theta[U:].reshape(M - 1, R, R, B)
     theta_u[1:-1] -= L[:U].reshape(M, R, B)[1:-1]
-    theta_p = eta * G[U:].reshape(M - 1, R, R, B) + L[U:].reshape(M - 1, R, R, B)
+    theta_p += L[U:].reshape(M - 1, R, R, B)
 
-    # forward/backward messages (log domain); the backward pass sums over
-    # y_{m+1}, the leading axis of the transposed pairwise view
-    alpha = np.empty((M, R, B))
+    # forward and backward messages (log domain), one step of each per
+    # log-sum-exp: step s sums the forward input over y_s and the backward
+    # input at k = M-2-s over y_{k+1}, the transposed pairwise view's leading axis
+    alpha, beta = np.empty((M, R, B)), np.zeros((M, R, B))
     alpha[0] = theta_u[0]
-    for m in range(M - 1):
-        alpha[m + 1] = theta_u[m + 1] + _logsumexp(alpha[m, :, None] + theta_p[m])
     theta_pt = theta_p.transpose(0, 2, 1, 3)
-    beta = np.zeros((M, R, B))
-    for m in range(M - 2, -1, -1):
-        beta[m] = _logsumexp(theta_pt[m] + (theta_u[m + 1] + beta[m + 1])[:, None])
+    both = np.empty((R, 2, R, B))
+    for s, k in zip(range(M - 1), range(M - 2, -1, -1)):
+        np.add(alpha[s, :, None], theta_p[s], out=both[:, 0])
+        np.add(theta_pt[k], (theta_u[k + 1] + beta[k + 1])[:, None], out=both[:, 1])
+        forward, beta[k] = _logsumexp(both)
+        np.add(theta_u[s + 1], forward, out=alpha[s + 1])
     log_z = _logsumexp(alpha[-1])
 
-    after = theta_u[1:] + beta[1:]
-    log_p = alpha[:-1, :, None] + theta_p + after[:, None] - log_z
-    L_new = np.concatenate([(alpha + beta - log_z).reshape(U, B), log_p.reshape(-1, B)])
+    # the log-marginals, written straight into L_new's unary and pairwise blocks
+    L_new = np.empty((L.shape[0], B))
+    log_u, log_p = L_new[:U].reshape(M, R, B), L_new[U:].reshape(M - 1, R, R, B)
+    np.add(alpha, beta, out=log_u)
+    log_u -= log_z
+    np.add(alpha[:-1, :, None], theta_p, out=log_p)
+    log_p += (theta_u[1:] + beta[1:])[:, None]
+    log_p -= log_z
     np.maximum(L_new, _LOG_FLOOR, out=L_new)
     P = np.exp(L_new)
-    out_u = P[:U].reshape(M, R, B)
-    out_u /= out_u.sum(axis=1)[:, None]
-    out_p = P[U:].reshape(M - 1, R * R, B)
-    out_p /= out_p.sum(axis=1)[:, None]
+    for block in (P[:U].reshape(M, R, B), P[U:].reshape(M - 1, R * R, B)):
+        block /= np.add.reduce(block, axis=1)[:, None]
     return L_new, P
 
 

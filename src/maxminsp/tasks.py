@@ -19,9 +19,10 @@ a chain stack as (M, R, B) unary and (M-1, R, R, B) pairwise blocks.
 `project_stack` steps from log-iterates floored at log(PROB_FLOOR); the
 other methods take probabilities.  `decode` returns one label per column,
 the lowest label winning ties; `max_oracle` returns max_y phi(y)^T s per
-column without decoding, and every certified gap and bound is built on
-it.  Both check the stack once (`score_stack`) and then call the task's
-unchecked kernels.  `bayes_risk` is the centred Bayes term min_y phi(y)^T
+column without decoding, and every certified gap and bound is built on it.
+Both check the stack once (`score_stack`) and then call the task's
+unchecked kernels, as `apply_loss_matrix` does `loss_stack`; the engine
+calls that directly.  `bayes_risk` is the centred Bayes term min_y phi(y)^T
 A mu of a checked stack of points (add `offset` for the risk itself).
 """
 
@@ -123,14 +124,15 @@ class Task:
     # -- loss ------------------------------------------------------------
     def apply_loss_matrix(self, mu: np.ndarray) -> np.ndarray:
         """A @ mu for the centered loss matrix, for one point or each column of a stack."""
+        return self.loss_stack(self._columns(mu))
+
+    def loss_stack(self, X: np.ndarray) -> np.ndarray:
+        """`apply_loss_matrix` of a float vector or (embed_dim, B) stack, unchecked, for the engine."""
         raise NotImplementedError
 
     def loss(self, y, y2) -> float:
-        """L(y, y') = phi(y)^T A phi(y') + a."""
-        self.check_label(y)
-        self.check_label(y2)
-        val = float(self.embed(y) @ self.apply_loss_matrix(self.embed(y2)))
-        return val + self.offset
+        """L(y, y') = phi(y)^T A phi(y') + a; `embed` checks both labels."""
+        return float(self.embed(y) @ self.apply_loss_matrix(self.embed(y2))) + self.offset
 
     # -- decoding --------------------------------------------------------
     def _columns(self, X) -> np.ndarray:
@@ -269,8 +271,8 @@ class SimplexTask(Task):
         e[y - 1] = 1.0
         return e
 
-    def apply_loss_matrix(self, mu):
-        return self.loss_matrix @ self._columns(mu)
+    def loss_stack(self, X):
+        return self.loss_matrix @ X
 
     def _decode_stack(self, S):
         # exact comparison: np.argmax returns the first maximizer
@@ -307,8 +309,8 @@ class MulticlassTask(SimplexTask):
     def loss_matrix(self):
         return _read_only(-np.eye(self.k))
 
-    def apply_loss_matrix(self, mu):
-        return -self._columns(mu)
+    def loss_stack(self, X):
+        return -X
 
 
 @dataclass(frozen=True)
@@ -425,11 +427,10 @@ class ChainTask(Task):
             p[m, y[m] - 1, y[m + 1] - 1] = 1.0
         return self.join(u, p)
 
-    def apply_loss_matrix(self, mu):
-        mu = self._columns(mu)
-        out = np.zeros_like(mu)
+    def loss_stack(self, X):
+        out = np.zeros_like(X)
         # per-position product on the unary blocks (L symmetric)
-        u = mu[: self.unary_dim]
+        u = X[: self.unary_dim]
         out[: self.unary_dim] = (self.loss_block @ u.reshape(self.M, self.R, -1)).reshape(u.shape)
         return out
 
@@ -567,8 +568,8 @@ class RankingTask(Task):
             P[i, j - 1] = 1.0
         return P.ravel()
 
-    def apply_loss_matrix(self, mu):
-        return -self._columns(mu) / self.M
+    def loss_stack(self, X):
+        return -X / self.M
 
     def _assignment_value(self, V: np.ndarray) -> float:
         rows, cols = linear_sum_assignment(-V)

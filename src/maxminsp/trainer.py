@@ -158,14 +158,12 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     n = len(ys)
     if n == 0:
         raise ValueError("empty training set")
-    for y in ys:
-        task.check_label(y)
+    Phi = np.stack([task.embed(y) for y in ys])  # embed checks each label
     kernel = cfg.kernel or KernelSpec("gaussian", 1.0)
     K_gram = gram(xs, kernel)
     if not np.all(np.isfinite(K_gram)):
         raise ValueError("non-finite kernel values")
 
-    Phi = np.stack([task.embed(y) for y in ys])
     mu = Phi.copy()
     coeffs = np.zeros_like(Phi)
     model = DualModel(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,31 @@ def test_rerun_byte_identical(tmp_path):
         assert res.exit_code == 0, res.output
         outs.append((out / "results.jsonl").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_manifest_names_versions_config_and_data(tmp_path, command):
+    # nothing timing-dependent: two reruns write the same bytes
+    p = _synth_blobs(tmp_path)
+    extra = ["--splits", "2"] if command == "bench" else []
+    manifests = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        res = run([command, "--data", str(p), "--task", "multiclass", "--lambda-grid", "0.1,0.5",
+                   "--passes", "2", "--spmp-iters", "5", "--seed", "5", "--out", str(out), *extra])
+        assert res.exit_code == 0, res.output
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    m = json.loads(manifests[0])
+    assert set(m["versions"]) == {"maxminsp", "python", "numpy", "scipy", "click"}
+    assert m["versions"]["numpy"] == np.__version__
+    assert m["data_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+    config = m["config"]
+    assert config["command"] == command and config["lambda_grid"] == [0.1, 0.5]
+    assert config["kernel_gamma"] == "median" and config["passes"] == 2
+    assert config["spmp_iters"] == 5 and config["warm_start"] == "on" and config["seed"] == 5
+    assert config["method"] == "m4n" and config["task_kind"] == "multiclass"
+    assert ("splits" in config) == (command == "bench") and "out" not in config
 
 
 def test_bench_table_and_summary(tmp_path):

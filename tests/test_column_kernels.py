@@ -22,6 +22,12 @@ message.  Its sums of 8 or more terms (a pairwise block from R = 3 on) may
 differ from the reference's in the last bits, which could only matter for
 a point within a few ulps of a tolerance; the tests draw none.
 
+The chain kernel once ran its forward and backward messages in two
+passes, one log-sum-exp per message step, and concatenated the
+log-marginals it returned.  That column kernel is kept below as the
+reference for the one-sweep kernel, which computes every entry with the
+same operations in the same order and must match it bit for bit.
+
 The engine once carried probabilities: each kernel took the log of the
 iterate it was handed and floored the probabilities it returned.  That
 loop and its kernels are kept below as the reference for the log-domain
@@ -35,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
+from maxminsp.oracle import ADAPTIVE_START, certified_gap, spmp_solve_batch_simplex
 from maxminsp.projections import (
     _ARMIJO,
     _LOG_FLOOR,
@@ -50,6 +56,7 @@ from maxminsp.projections import (
     _logsumexp,
     _sinkhorn_stack,
     _softmax_stack,
+    project,
 )
 from maxminsp.tasks import ChainTask, LayoutError, MulticlassTask, OrdinalTask, RankingTask
 
@@ -252,6 +259,39 @@ def row_chain_check_state(task, mu):
 
 
 # ---------------------------------------------------------------------------
+# the two-pass column chain kernel the one-sweep kernel replaced
+
+
+def two_pass_chain(L, G, eta, M, R):
+    U = M * R
+    B = L.shape[1]
+    if M == 1:
+        return _softmax_stack(L, G, eta)
+    theta_u = eta * G[:U].reshape(M, R, B)
+    theta_u[1:-1] -= L[:U].reshape(M, R, B)[1:-1]
+    theta_p = eta * G[U:].reshape(M - 1, R, R, B) + L[U:].reshape(M - 1, R, R, B)
+    alpha = np.empty((M, R, B))
+    alpha[0] = theta_u[0]
+    for m in range(M - 1):
+        alpha[m + 1] = theta_u[m + 1] + _logsumexp(alpha[m, :, None] + theta_p[m])
+    theta_pt = theta_p.transpose(0, 2, 1, 3)
+    beta = np.zeros((M, R, B))
+    for m in range(M - 2, -1, -1):
+        beta[m] = _logsumexp(theta_pt[m] + (theta_u[m + 1] + beta[m + 1])[:, None])
+    log_z = _logsumexp(alpha[-1])
+    after = theta_u[1:] + beta[1:]
+    log_p = alpha[:-1, :, None] + theta_p + after[:, None] - log_z
+    L_new = np.concatenate([(alpha + beta - log_z).reshape(U, B), log_p.reshape(-1, B)])
+    np.maximum(L_new, _LOG_FLOOR, out=L_new)
+    P = np.exp(L_new)
+    out_u = P[:U].reshape(M, R, B)
+    out_u /= out_u.sum(axis=1)[:, None]
+    out_p = P[U:].reshape(M - 1, R * R, B)
+    out_p /= out_p.sum(axis=1)[:, None]
+    return L_new, P
+
+
+# ---------------------------------------------------------------------------
 # the probability-domain engine the log-domain engine replaced: each kernel
 # takes the log of its iterate and floors the probabilities it returns
 
@@ -375,6 +415,47 @@ def test_chain_matches_row_reference(M, R, rows, scale, seed):
     assert_matches(got_l, ref_l, True)
     assert_matches(got_p[:, :U], ref_p[:, :U], True)
     assert_matches(got_p[:, U:], ref_p[:, U:], M == 1 or R * R < 8)
+
+
+def chain_log_iterates(task, rng, rows, scale, eta):
+    """(dim, rows) log-iterates one projection away from the uniform point,
+    without enumerating labels: at large scales they sit near vertices."""
+    L = np.tile(np.log(task.uniform_state())[:, None], (1, rows))
+    return two_pass_chain(L, rng.normal(size=L.shape) * scale, eta, task.M, task.R)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(M=st.integers(1, 8), R=st.integers(2, 6), rows=st.integers(1, 64),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+       doublings=st.integers(0, round(math.log2(ADAPTIVE_START))), seed=seeds)
+def test_one_sweep_chain_matches_two_pass_kernel(M, R, rows, scale, doublings, seed):
+    # steps from the worst-case one up to ADAPTIVE_START times it, the
+    # engine's whole range
+    task = ChainTask(M, R)
+    eta = task.r2 / (2.0 * task.l_spmp) * 2.0 ** doublings
+    rng = np.random.default_rng(seed)
+    L = chain_log_iterates(task, rng, rows, scale, eta)
+    G = rng.normal(size=L.shape) * scale
+    got, want = _chain_stack(L, G, eta, M, R), two_pass_chain(L, G, eta, M, R)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+
+
+def test_one_sweep_chain_through_project_on_strided_rows():
+    # `project` hands the kernel contiguous columns of any row stack it is given
+    task = ChainTask(4, 3)
+    rng = np.random.default_rng(12)
+    P = np.exp(chain_log_iterates(task, rng, 14, 3.0, 0.5)).T[::2]  # strided (7, dim) rows
+    G = np.asfortranarray(rng.normal(size=(7, task.embed_dim)) * 3.0)
+    assert not (P.flags.c_contiguous or G.flags.c_contiguous)
+    L = np.log(np.maximum(P, PROB_FLOOR))
+    want = two_pass_chain(L.T.copy(), G.T.copy(), 0.5, 4, 3)[1].T
+    assert np.array_equal(project(task, P, G, 0.5), want)
+    # one column alone: numpy may sum its 9-entry pairwise blocks pairwise,
+    # so it is compared with the reference on that column alone
+    one = two_pass_chain(L[3][:, None], G[3][:, None].copy(), 0.5, 4, 3)[1][:, 0]
+    assert np.array_equal(project(task, P[3], G[3], 0.5), one)
 
 
 def birkhoff_points(M, rng, rows):

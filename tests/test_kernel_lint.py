@@ -10,7 +10,11 @@ still name the last axis; in a column stack that axis holds the rows, so a
 reduction over it mixes rows, which the column-against-per-column tests in
 test_tasks.py catch, together with the rejection of (B, dim) row stacks.
 Functions are matched by name: in `tasks.py`, the stack methods of every
-task class.
+task class, `loss_stack` (the engine's unchecked apply-A) among them.
+Reductions are matched as attribute calls (`x.sum(axis=0)`,
+`np.add.reduce(x, axis=0)`), so a kernel calls them that way, never
+through a module-level alias such as `_SUM = np.add.reduce`, which the
+lint would not see.
 """
 
 import ast
@@ -19,7 +23,8 @@ from pathlib import Path
 import maxminsp
 
 KERNELS = {"_softmax_stack", "_chain_stack", "_sinkhorn_stack", "_logsumexp"}
-TASK_METHODS = {"_backward", "_decode_stack", "_max_stack", "check_state", "apply_loss_matrix"}
+TASK_METHODS = {"_backward", "_decode_stack", "_max_stack", "check_state", "apply_loss_matrix",
+                "loss_stack"}
 # arithmetic reductions and their argument forms only: any/all over
 # per-column flags steer the Sinkhorn loop and reduce over the rows on purpose
 REDUCTIONS = {"sum", "max", "min", "prod", "mean", "amax", "amin", "reduce", "argmax", "argmin"}
@@ -104,6 +109,7 @@ def test_lint_catches_last_axis_reductions():
         "    e = Q.max(axis=axis)\n"
         "    if (Q > 0).any():\n"
         "        return Q.max(axis=0) + Q.sum(axis=(0, 1)) + np.add.reduce(Q) + np.sum(Q, 0)\n"
+        "    return np.add.reduce(Q, axis=1) + np.maximum.reduce(Q, 1)\n"
         "def helper(Q):\n"
         "    return Q.sum(axis=-1)\n"
     )
@@ -132,7 +138,8 @@ def test_lint_catches_last_axis_reductions_in_methods():
 
 
 def test_lint_covers_every_task_class():
-    # the stack methods of any class are linted, apply_loss_matrix among them
+    # the stack methods of any class are linted, apply_loss_matrix and
+    # loss_stack among them
     src = (
         "class RankingTask(Task):\n"
         "    def _max_stack(self, S):\n"
@@ -142,10 +149,15 @@ def test_lint_covers_every_task_class():
         "class SimplexTask(Task):\n"
         "    def apply_loss_matrix(self, mu):\n"
         "        return mu.sum(axis=-1)\n"
+        "class MulticlassTask(SimplexTask):\n"
+        "    def loss_stack(self, X):\n"
+        "        return np.add.reduce(X, axis=-1)\n"
     )
     found, seen = last_axis_reductions(src, TASK_METHODS)
-    assert seen == {"RankingTask._max_stack", "SimplexTask.apply_loss_matrix"}
-    assert found == ["RankingTask._max_stack:3", "SimplexTask.apply_loss_matrix:8"]
+    assert seen == {"RankingTask._max_stack", "SimplexTask.apply_loss_matrix",
+                    "MulticlassTask.loss_stack"}
+    assert found == ["RankingTask._max_stack:3", "SimplexTask.apply_loss_matrix:8",
+                     "MulticlassTask.loss_stack:11"]
 
 
 def test_lint_counts_argmax_and_argmin():

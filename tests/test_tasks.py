@@ -363,3 +363,18 @@ def test_column_stacks_equal_per_column_calls(t, size, tied, seed):
                              (t.bayes_risk, mu.T), (t.check_state, mu.T)):
             with pytest.raises(LayoutError):
                 method(rows)
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(5), ChainTask(4, 3), RankingTask(3)],
+                         ids=lambda t: t.kind)
+@pytest.mark.parametrize("B", [1, 2, 7])
+def test_loss_stack_is_apply_loss_matrix_unchecked(t, B):
+    # the engine's unchecked apply-A equals the checked method bit for bit on
+    # column stacks, and the checked method still rejects a (B, dim) row stack
+    rng = np.random.default_rng(B)
+    E = np.stack([t.embed(y) for y in t.labels()])
+    mu = np.ascontiguousarray(E.T @ rng.dirichlet(np.ones(len(E)), size=B).T)
+    assert np.array_equal(t.loss_stack(mu), t.apply_loss_matrix(mu))
+    assert np.array_equal(t.loss_stack(mu[:, 0].copy()), t.apply_loss_matrix(mu[:, 0]))
+    with pytest.raises(LayoutError):
+        t.apply_loss_matrix(mu.T.copy())
