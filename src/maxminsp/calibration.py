@@ -3,10 +3,10 @@
 Relates the excess surrogate risk delta_s(v, mu) of a score vector v at a
 conditional moment mu to the excess task risk delta_l of its decoded label.
 The calibration curve zeta(eps) = inf { delta_s : delta_l >= eps } is
-estimated by randomized search over score vectors and label mixtures, with
-one path for every task of at most six labels; the linear constant C
-(optimal labels carry probability at least 1/C) is each task's
-`constant_c`.
+estimated by randomized search over score vectors and label mixtures, one
+path for every task of at most six labels, solved at the block updates'
+fixed step; the linear constant C (optimal labels carry probability at
+least 1/C) is each task's `constant_c`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import spmp_solve_batch_simplex
+from .oracle import fixed_eta, spmp_solve_batch_simplex
 from .tasks import RankingTask, Task
 
 __all__ = [
@@ -68,9 +68,9 @@ def zeta_bruteforce(
     task takes the same path; tasks with more than six labels are rejected.
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
-    oracle solve, with the task's certification step when it has one, then
-    one `bayes_risk` call on the averaged players and one on the moments,
-    shared by delta_s and delta_l, cover every search row.
+    oracle solve at `oracle.fixed_eta`, then one `bayes_risk` call on the
+    averaged players and one on the moments, shared by delta_s and delta_l,
+    cover every search row.
     """
     if task.n_labels() > 6:
         raise ValueError("output space too large for brute-force calibration")
@@ -84,7 +84,7 @@ def zeta_bruteforce(
     # decoded label flips, the regime that pins the infimum
     V = np.vstack([V, rng.normal(size=(B // 2, k)) * (_SCALE / 4)])
     Mus = np.vstack([Mus, rng.dirichlet(0.5 * np.ones(n), size=B // 2) @ E])
-    mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=task.certify_eta)[0]
+    mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=fixed_eta(task))[0]
 
     def inner_min(Mu, bayes):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row

@@ -231,6 +231,8 @@ def _common_train_options(fn):
 def _parse_grid(lam, lambda_grid):
     if lam is None and lambda_grid is None:
         return list(DEFAULT_LAMBDA_GRID)
+    if lam is not None and lambda_grid is not None:
+        raise ValueError("give --lambda or --lambda-grid, not both")
     try:
         grid = [lam] if lam is not None else [float(v) for v in lambda_grid.split(",")]
     except ValueError:

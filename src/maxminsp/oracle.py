@@ -15,17 +15,15 @@ engine.  The polytope enters only through the task: `project_stack` and
 `loss_stack` (unchecked: the engine checks its stack once), `check_state`,
 `score_stack`, `l_spmp`, `r2` and, for adaptive steps, `bregman`.
 
-Every call runs one round loop, at a fixed step except in dual-gap
-certification, which asks for adaptive steps: while some row's step is
-above the worst-case one, each round is checked against the local
-criterion, at one Bregman divergence per column, and redone at half the
-step for the rows that fail it.  The certificate is exact at any iterate,
-so steps move how tight a bound is, never whether it holds.  `spmp_solve` is one
-fixed-step engine call on one vector plus its certificate.  The trainer
-calls the engine itself, once per block update, and certifies a whole
-training afterwards: `trainer.dual_gap` makes one adaptive engine call
-over every example of every pass, and `certified_gap` is called once on
-all block updates' iterates.
+Every call runs one round loop, each step a multiple of the worst-case
+step 1/(2 l_spmp).  Block updates and the calibration search step at
+`fixed_eta`, FIXED_STEP worst-case steps, on every polytope; dual-gap
+certification adapts: while some row's step is above the worst-case one,
+each round is checked against the local criterion, at one Bregman
+divergence per column, and redone at half the step for the rows that
+fail it.  The certificate is exact at any iterate, so steps move how
+tight a bound is, never whether it holds.  `spmp_solve` is one
+worst-case-step engine call on one vector plus its certificate.
 """
 
 from __future__ import annotations
@@ -43,9 +41,16 @@ __all__ = [
     "spmp_solve",
     "spmp_solve_batch_simplex",
     "certified_gap",
+    "fixed_eta",
 ]
 
 ADAPTIVE_START = 2.0 ** 10  # the first adaptive step, in worst-case steps
+FIXED_STEP = 8.0  # the step of every fixed-step caller, in worst-case steps
+
+
+def fixed_eta(task: Task) -> float:
+    """The fixed step of block updates and the calibration search on task."""
+    return FIXED_STEP / (2.0 * task.l_spmp)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ A (dense for multiclass/ordinal, block-diagonal unary blocks for chains,
 -I/M for rankings).  Optimization always runs on the centered bilinear part;
 the offset `a` is re-added whenever a human-readable loss or risk is
 reported.  Each task owns its marginal polytope (the stack projection under
-its entropy, the constants that set the saddle solver's step, and the signs
-that the base class's one `bregman` reads) and its loss's `constant_c`.
+its entropy, the constants `l_spmp` and `r2` from which the saddle solver
+derives every step, and the signs that the base class's one `bregman`
+reads) and its loss's `constant_c`; no task carries a step of its own.
 
 One layout rule: Task methods take columns, module-level functions keep
 rows.  Every stack method takes one vector or a (dim, B) column stack,
@@ -86,9 +87,8 @@ class Task:
 
     Polytope constants: `r2` is the entropy range (max H - min H), shared
     by both saddle players; `diameter_sq` is max ||phi(y) - phi(y')||_2^2;
-    `l_spmp` is the theory smoothness constant of the saddle problem.
-    `certify_eta`, when set, is the fixed step of calibration's batched
-    solve; dual-gap certification picks its steps adaptively instead.
+    `l_spmp` is the theory smoothness constant of the saddle problem; every
+    step of the oracle is a multiple of the worst-case step 1/(2 l_spmp).
     `_entropy_signs` holds the sign of each term of the polytope's entropy.
     `constant_c` is the smallest C such that, under every label
     distribution, some loss-minimizing label has probability at least 1/C
@@ -102,7 +102,6 @@ class Task:
     diameter_sq: float
     l_spmp: float
     constant_c: float
-    certify_eta: float | None = None
     _entropy_signs = 1.0
 
     # -- labels ----------------------------------------------------------
@@ -248,12 +247,6 @@ class SimplexTask(Task):
     @cached_property
     def l_spmp(self) -> float:
         return self.loss_norm * self.diameter_sq * self.r2
-
-    @cached_property
-    def certify_eta(self) -> float:
-        # the calibration search's fixed step: well above the worst-case
-        # default, it tightens the certified bound at equal budget
-        return 4.0 / self.l_spmp
 
     def check_label(self, y) -> None:
         if not isinstance(y, (int, np.integer)) or not 1 <= y <= self.k:

@@ -8,17 +8,18 @@ block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
 Convex combination steps use gamma_t = 2n / (t + 2n).  Each m4n block
 update is one call of the oracle's engine, `spmp_solve_batch_simplex`, on
-one score vector.
+one score vector, at the fixed step `oracle.fixed_eta` that the
+calibration search also takes.
 
 Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
 averaged iterates are kept in (passes, n, dim) arrays, then one
 `dual_gap` call (one engine call over every pass's examples, with
 adaptive steps) gives each pass's dual gap and its lower bound, and one
-`certified_gap` call gives each pass's mean block oracle gap.  Block
-updates keep the engine's fixed step.  The engine is row-independent, its
-adaptive steps included, so each pass's dual gap equals that of
-certifying the pass alone; certification memory is O(passes n dim).
+`certified_gap` call gives each pass's mean block oracle gap.  The engine
+is row-independent, its adaptive steps included, so each pass's dual gap
+equals that of certifying the pass alone; certification memory is
+O(passes n dim).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import certified_gap, spmp_solve_batch_simplex
+from .oracle import certified_gap, fixed_eta, spmp_solve_batch_simplex
 from .tasks import Task
 
 __all__ = [
@@ -109,9 +110,8 @@ def dual_gap(
     K_gram: np.ndarray | None = None,
     oracle_iters: int = 500,
     mu: np.ndarray | None = None,
-    lower: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Upper bound on the dual suboptimality, averaged over examples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (upper, lower) on the dual suboptimality, averaged over examples.
 
     Per example:  max_mu' H_i(mu', w) - H_i(mu_i, w)  with
     H_i(mu, w) = bayes(mu) + g(x_i)^T (mu - phi(y_i)); the inner max is
@@ -120,17 +120,17 @@ def dual_gap(
     g(x_i) at (mu_i, nu_i), the scores taken from the coefficients
     (mu - phi(y)) / (lambda n) of the state.
 
-    mu is the dual state, model.dual_mu by default: one (n, dim) state
-    gives one float, a (P, n, dim) stack of states gives P mean gaps.  One
-    engine call covers every example of every state, with adaptive steps;
-    each row's steps and iterates depend on that row alone, so a state's
-    gap does not depend on what it is stacked with.
+    The lower bound is H_i(mu_bar_i) - H_i(mu_i), from the same call's
+    averaged max player mu_bar_i: the upper bound less the gap the oracle's
+    own pair (mu_bar_i, nu_bar_i) certifies.  Both sides come from one
+    `certified_gap` call.
 
-    lower, when given, is an array with one entry per state that receives
-    the state's mean lower bound H_i(mu_bar_i) - H_i(mu_i), from the same
-    call's averaged max player mu_bar_i: the upper bound less the gap the
-    oracle's own pair (mu_bar_i, nu_bar_i) certifies.  Both sides come
-    from one `certified_gap` call.
+    mu is the dual state, model.dual_mu by default.  Both bounds are means
+    per state, shaped mu.shape[:-2]: 0-d for one (n, dim) state, P for a
+    (P, n, dim) stack.  One engine call covers every example of every
+    state, with adaptive steps; each row's steps and iterates depend on
+    that row alone, so a state's bounds do not depend on what it is
+    stacked with.
     """
     task = model.task
     if K_gram is None:
@@ -145,10 +145,8 @@ def dual_gap(
     both = certified_gap(np.concatenate([states.reshape(V.shape), mu_bar]),
                          np.concatenate([nu_bar, nu_bar]), np.concatenate([V, V]), task)
     gaps = both[:len(V)].reshape(states.shape[:2])
-    if lower is not None:
-        lower[...] = (gaps - both[len(V):].reshape(gaps.shape)).mean(axis=1)
-    means = gaps.mean(axis=1)
-    return float(means[0]) if mu.ndim == 2 else means
+    lower = gaps - both[len(V):].reshape(gaps.shape)
+    return gaps.mean(axis=1).reshape(mu.shape[:-2]), lower.mean(axis=1).reshape(mu.shape[:-2])
 
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
@@ -172,6 +170,7 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     )
 
     rng = np.random.default_rng(cfg.seed)
+    eta = fixed_eta(task)
     # last saddle iterates (mu, nu) of each example, uniform until visited
     warm = np.tile(task.uniform_state(), (n, 2, 1)) if cfg.warm_start else None
     # certified after training: each pass's dual state, and each block
@@ -191,7 +190,7 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             if method == "m4n":
                 init = warm[i] if warm is not None else None
                 mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
-                    v_i, task, cfg.spmp_iters, None, init
+                    v_i, task, cfg.spmp_iters, eta, init
                 )
                 block_v[p, b], block_mu[p, b], block_nu[p, b] = v_i, mu_bar[0], nu_bar[0]
                 direction = mu_bar[0]
@@ -210,12 +209,10 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         walls.append(time.perf_counter() - t0)
 
     t_cert = time.perf_counter()
-    lowers = np.empty(cfg.passes)
-    gaps = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes,
-                    lower=lowers)
-    for p, gap in enumerate(gaps):
-        if gap < -1e-6:
-            raise RuntimeError(f"negative dual gap {float(gap)} at pass {p + 1}")
+    gaps, lowers = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes)
+    negative = np.flatnonzero(gaps < -1e-6)
+    if negative.size:
+        raise RuntimeError(f"negative dual gap {float(gaps[negative[0]])} at pass {negative[0] + 1}")
     if method == "m4n":
         rows = (a.reshape(-1, task.embed_dim) for a in (block_mu, block_nu, block_v))
         oracle_gaps = certified_gap(*rows, task).reshape(cfg.passes, n).mean(axis=1)

@@ -127,6 +127,11 @@ def test_train_parse_error_exits_2(tmp_path):
     res = run(["train", "--data", str(_synth_blobs(tmp_path)), "--task", "multiclass",
                "--lambda-grid", "0.1,nope", "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
+    # a single lambda does not silently win over a grid
+    res = run(["train", "--data", str(_synth_blobs(tmp_path)), "--task", "multiclass",
+               "--lambda", "0.5", "--lambda-grid", "0.1,0.01", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "--lambda or --lambda-grid" in res.output
     # float() parses nan, so a nan feature cell must fail parsing, not training
     bad.write_text("feature_0,label\n0.5,1\nnan,2\n")
     res = run(["train", "--data", str(bad), "--task", "multiclass", "--lambda", "0.1",
@@ -261,6 +266,8 @@ def test_bench_bad_kernel_gamma_exits_2(tmp_path, gamma):
     ["train", "--lambda", "nan"],
     ["train", "--lambda", "inf"],
     ["train", "--lambda-grid", "0.1,inf"],
+    ["train", "--lambda", "0.5", "--lambda-grid", "0.1,0.01"],
+    ["bench", "--lambda", "0.5", "--lambda-grid", "0.1,0.01"],
     ["train", "--lambda", "0.1", "--kernel-gamma", "inf"],
     ["train", "--lambda", "0.1", "--spmp-iters", "0"],
     ["train", "--lambda", "0.1", "--passes", "0"],

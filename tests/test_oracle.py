@@ -391,12 +391,13 @@ def _counted_bregman(monkeypatch, t):
 @pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(5), ChainTask(1, 3), ChainTask(4, 3),
                                RankingTask(3)], ids=lambda t: f"{t.kind}{t.embed_dim}")
 def test_fixed_steps_never_check_the_criterion(monkeypatch, t):
-    # block updates (warm started), calibration's step and spmp_solve; an
-    # adaptive call, on every task, checks from its first round on
+    # the worst-case step, the block updates' and calibration's fixed step
+    # (warm started) and spmp_solve; an adaptive call, on every task, checks
+    # from its first round on
     calls = _counted_bregman(monkeypatch, t)
     V = np.random.default_rng(5).normal(size=(7, t.embed_dim)) * 2.0
     out = spmp_solve_batch_simplex(V, t, 20)
-    spmp_solve_batch_simplex(V, t, 20, t.certify_eta, (out[2], out[3]))
+    spmp_solve_batch_simplex(V, t, 20, oracle.fixed_eta(t), (out[2], out[3]))
     spmp_solve(V[0], t, K=20)
     assert calls == []
     spmp_solve_batch_simplex(V, t, 1, None, None, True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from maxminsp import trainer
+from maxminsp import calibration, oracle, trainer
 from maxminsp.datasets import synth_blobs, synth_hmm, synth_ranking
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
 from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
@@ -80,7 +80,7 @@ def test_one_example_binary_reaches_dual_optimum():
     assert abs(best - (-0.75 + task.offset)) < 1e-8
     # the trainer reports the objective without the loss offset
     assert abs(report.records[-1]["dual_objective"] - (best - task.offset)) < 1e-4
-    gap = dual_gap(model, K_gram=gram(xs, kern), oracle_iters=4000)
+    gap, _ = dual_gap(model, K_gram=gram(xs, kern), oracle_iters=4000)
     assert gap <= 1e-4
 
 
@@ -90,7 +90,7 @@ def test_fresh_model_dual_gap_two_thirds():
     ys = [1, 2, 3, 1]
     task = MulticlassTask(k=3)
     model = fresh_model(task, KernelSpec("gaussian", gamma=0.5), xs, ys, lam=0.1)
-    gap = dual_gap(model, oracle_iters=3000)
+    gap, _ = dual_gap(model, oracle_iters=3000)
     assert abs(gap - 2.0 / 3.0) < 1e-3
 
 
@@ -232,7 +232,7 @@ def test_chain_dual_gap_matches_per_example_solves():
         bayes = np.min(E @ task.apply_loss_matrix(model.dual_mu[i]))
         held = V[i] @ (model.dual_mu[i] - Phi[i]) + bayes
         per_example.append(upper - held)
-    gap = dual_gap(model, K_gram=K_gram, oracle_iters=60)
+    gap, _ = dual_gap(model, K_gram=K_gram, oracle_iters=60)
     assert abs(gap - float(np.mean(per_example))) < 1e-12
 
 
@@ -286,11 +286,11 @@ def _interval_setup(kind, size, M, R, n, scale, seed):
        scale=st.sampled_from([0.3, 3.0, 30.0]), K=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed):
     model, mu = _interval_setup(kind, size, M, R, n, scale, seed)
-    lower = np.empty(1)
-    upper = dual_gap(model, oracle_iters=K, mu=mu, lower=lower)
+    upper, lower = dual_gap(model, oracle_iters=K, mu=mu)
+    assert upper.shape == lower.shape == ()
     exact = float(np.mean(exact_dual_gaps(model, mu)))
     tol = 1e-7 * (1.0 + abs(exact))
-    assert lower[0] <= exact + tol
+    assert lower <= exact + tol
     assert exact <= upper + tol
     # the lower end is H_i(mu_bar_i) - H_i(mu_i), with H_i by label enumeration
     task = model.task
@@ -301,7 +301,7 @@ def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed
     def H(m):
         return np.min(m @ task.apply_loss_matrix(E.T), axis=1) + np.einsum("ij,ij->i", V, m)
 
-    assert lower[0] == pytest.approx(float(np.mean(H(mu_bar) - H(mu))), rel=1e-9, abs=1e-12)
+    assert float(lower) == pytest.approx(float(np.mean(H(mu_bar) - H(mu))), rel=1e-9, abs=1e-12)
 
 
 def test_hmm_chain_certified_gap_within_one_percent():
@@ -315,6 +315,60 @@ def test_hmm_chain_certified_gap_within_one_percent():
     exact = float(np.mean(exact_dual_gaps(model)))
     final = report.records[-1]
     assert final["dual_gap_lower"] <= exact <= final["dual_gap"] <= 1.01 * exact
+
+
+def _recorded_steps(monkeypatch, module):
+    """Engine calls made through module are recorded: (eta, adaptive) each."""
+    steps = []
+    engine = module.spmp_solve_batch_simplex
+
+    def recording(V, task, K, eta=None, init=None, adaptive=False):
+        steps.append((eta, adaptive))
+        return engine(V, task, K, eta, init, adaptive)
+
+    monkeypatch.setattr(module, "spmp_solve_batch_simplex", recording)
+    return steps
+
+
+@pytest.mark.parametrize("task", [MulticlassTask(3), OrdinalTask(4), ChainTask(2, 2), RankingTask(3)],
+                         ids=lambda t: t.kind)
+def test_fixed_step_callers_share_one_step(monkeypatch, task):
+    # block updates and the calibration search pass one step on every
+    # polytope; dual-gap certification alone adapts, from the worst-case step
+    step = oracle.FIXED_STEP / (2 * task.l_spmp)
+    if task.kind in ("multiclass", "ordinal"):
+        assert step == 4.0 / task.l_spmp  # the simplices' earlier calibration step, bit for bit
+    labels = list(task.labels())
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=(6, 2))
+    ys = [labels[j] for j in rng.integers(len(labels), size=6)]
+    block = _recorded_steps(monkeypatch, trainer)
+    cfg = TrainConfig(passes=1, lam=0.1, spmp_iters=5, gap_oracle_iters=5, seed=0,
+                      kernel=KernelSpec("gaussian", 1.0))
+    gbcfw_train((xs, ys), task, cfg)
+    assert block[-1] == (None, True)
+    assert block[:-1] == [(step, False)] * 6
+    if task.kind != "ranking":  # the Birkhoff search is too slow for tier-1
+        search = _recorded_steps(monkeypatch, calibration)
+        calibration.zeta_bruteforce(task, [0.1], search_budget=8, spmp_iters=5)
+        assert search == [(step, False)]
+
+
+def test_fixed_block_step_beats_the_worst_case_step(monkeypatch):
+    # the same seeded chain training certifies a smaller final gap than with
+    # every block update forced to the worst-case step
+    ds, _, _ = synth_hmm(n=40, M=3, R=2, seed=0)
+    task = ChainTask(M=3, R=2)
+    cfg = TrainConfig(passes=3, lam=0.1, seed=0, kernel=KernelSpec("gaussian", median_heuristic(ds.xs)))
+    fixed = gbcfw_train((ds.xs, ds.ys), task, cfg)[1].records[-1]["dual_gap"]
+    engine = trainer.spmp_solve_batch_simplex
+
+    def worst_case(V, task, K, eta=None, init=None, adaptive=False):
+        return engine(V, task, K, None, init, adaptive)
+
+    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", worst_case)
+    worst = gbcfw_train((ds.xs, ds.ys), task, cfg)[1].records[-1]["dual_gap"]
+    assert fixed < worst
 
 
 def test_ranking_training_end_to_end():
@@ -369,12 +423,13 @@ def test_stacked_dual_gap_equals_one_state_calls(setup):
     model = models[-1]
     K_gram = gram(model.xs, model.kernel)
     states = np.stack([m.dual_mu for m in models])
-    stacked = dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=states)
-    one_by_one = [dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=s) for s in states]
-    assert stacked.shape == (3,) and list(stacked) == one_by_one
-    # a state's gap is that of the model holding it, the default state
-    assert one_by_one == [dual_gap(m, K_gram=K_gram, oracle_iters=50) for m in models]
-    assert len(set(one_by_one)) == 3
+    stacked = np.stack(dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=states))
+    one_by_one = [np.stack(dual_gap(model, K_gram=K_gram, oracle_iters=50, mu=s)) for s in states]
+    assert stacked.shape == (2, 3) and np.array_equal(stacked, np.stack(one_by_one, axis=1))
+    # a state's interval is that of the model holding it, the default state
+    held = [np.stack(dual_gap(m, K_gram=K_gram, oracle_iters=50)) for m in models]
+    assert np.array_equal(np.stack(held), np.stack(one_by_one))
+    assert len({float(u) for u, _ in one_by_one}) == 3
 
 
 @pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
@@ -439,7 +494,7 @@ def test_certify_time_covers_the_dual_gap_call(monkeypatch):
 
 
 def test_negative_dual_gap_names_first_pass(monkeypatch):
-    monkeypatch.setattr(trainer, "dual_gap", lambda *a, **k: np.array([0.5, -1.0, -2.0]))
+    monkeypatch.setattr(trainer, "dual_gap", lambda *a, **k: (np.array([0.5, -1.0, -2.0]), np.zeros(3)))
     data, task, cfg = _certified_setups()[0]
     with pytest.raises(RuntimeError, match="negative dual gap -1.0 at pass 2"):
         gbcfw_train(data, task, cfg)
