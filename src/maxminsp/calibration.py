@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import fixed_eta, spmp_solve_batch_simplex
+from .oracle import FIXED_STEP, spmp_solve_batch_simplex
 from .tasks import RankingTask, Task
 
 __all__ = [
@@ -68,7 +68,7 @@ def zeta_bruteforce(
     task takes the same path; tasks with more than six labels are rejected.
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
-    oracle solve at `oracle.fixed_eta`, then one `bayes_risk` call on the
+    oracle solve at `oracle.FIXED_STEP`, then one `bayes_risk` call on the
     averaged players and one on the moments, shared by delta_s and delta_l,
     cover every search row.
     """
@@ -84,7 +84,7 @@ def zeta_bruteforce(
     # decoded label flips, the regime that pins the infimum
     V = np.vstack([V, rng.normal(size=(B // 2, k)) * (_SCALE / 4)])
     Mus = np.vstack([Mus, rng.dirichlet(0.5 * np.ones(n), size=B // 2) @ E])
-    mu_bars = spmp_solve_batch_simplex(V, task, K=spmp_iters, eta=fixed_eta(task))[0]
+    mu_bars = spmp_solve_batch_simplex(V, task, spmp_iters, step=FIXED_STEP)[0]
 
     def inner_min(Mu, bayes):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row

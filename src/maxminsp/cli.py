@@ -24,6 +24,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .calibration import ranking_d_bound, zeta_bruteforce
@@ -302,6 +303,12 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
     click.echo(summary)
 
 
+# the size options each calib task reads, as make_task's keywords; all but
+# ranking, which reports constants only, also read the search's
+_CALIB_SIZES = {"multiclass": {"k": "k"}, "ordinal": {"k": "k"},
+                "chain": {"chain_m": "M", "chain_r": "R"}, "ranking": {"rank_m": "M"}}
+
+
 @main.command()
 @click.option("--task", "task_kind", required=True,
               type=click.Choice(["multiclass", "ordinal", "chain", "ranking"]))
@@ -313,20 +320,22 @@ def bench(data, task_kind, method, lam, lambda_grid, passes, spmp_iters,
               help="search size: 1.5 x budget score rows, each solved for 3000 oracle rounds")
 @click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--out", default="out", show_default=True, type=click.Path())
-def calib(task_kind, k, chain_m, chain_r, rank_m, budget, seed, out):
+def calib(task_kind, out, **options):
     """Calibration constants and zeta estimates on a tiny task."""
+    sizes = _CALIB_SIZES[task_kind]
+    reads = set(sizes) if task_kind == "ranking" else {*sizes, "budget", "seed"}
+    ctx = click.get_current_context()
+    unread = [p.opts[0] for p in ctx.command.params if p.name in options and p.name not in reads
+              and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE]
+    if unread:
+        _fail(EXIT_PARSE, f"--task {task_kind} takes no {', '.join(unread)}")
     try:
-        if task_kind in ("multiclass", "ordinal"):
-            task = make_task(task_kind, k=k)
-        elif task_kind == "chain":
-            task = make_task("chain", M=chain_m, R=chain_r)
-        else:
-            task = make_task("ranking", M=rank_m)
+        task = make_task(task_kind, **{key: options[name] for name, key in sizes.items()})
         rec = {"task": task_kind, "constant_c": task.constant_c}
         if task_kind == "ranking":
-            rec["constant_d_bound"] = ranking_d_bound(rank_m)
+            rec["constant_d_bound"] = ranking_d_bound(task.M)
         else:
-            est = zeta_bruteforce(task, [0.1, 0.3, 0.5], search_budget=budget, seed=seed)
+            est = zeta_bruteforce(task, [0.1, 0.3, 0.5], search_budget=options["budget"], seed=options["seed"])
             rec["zeta_lower"] = {str(e): v for e, v in est.zeta_lower.items()}
     except (ValueError, AssertionError) as exc:
         _fail(EXIT_PARSE, str(exc))

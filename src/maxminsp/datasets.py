@@ -122,7 +122,7 @@ def _parse_csv(path: Path, kind: str) -> Dataset:
 def _label_to_symbols(label: str, path, no) -> tuple[int, ...]:
     out = []
     for ch in label:
-        if ch.isdigit() and ch != "0":
+        if "1" <= ch <= "9":  # ASCII only: str.isdigit also takes superscripts and other scripts' digits
             out.append(int(ch))
         elif "a" <= ch <= "z":
             out.append(ord(ch) - ord("a") + 1)
@@ -139,7 +139,7 @@ def _symbols_to_label(y: tuple, R: int) -> str:
 
 def _parse_sequence(path: Path) -> Dataset:
     xs, ys = [], []
-    M = d = None
+    M = d = digits = None
     with open(path) as fh:
         for no, ln in enumerate(fh, start=1):
             ln = ln.rstrip("\n")
@@ -150,6 +150,9 @@ def _parse_sequence(path: Path) -> Dataset:
                 raise DatasetFormatError(path, no, f"expected 3 tab-separated fields, got {len(parts)}")
             _, label, blocks = parts
             y = _label_to_symbols(label, path, no)
+            digits = label[:1].isdigit() if digits is None else digits  # the first label's alphabet
+            if any(ch.isdigit() != digits for ch in label):
+                raise DatasetFormatError(path, no, f"label {label!r} mixes digit and letter labels")
             feats = [_features(block.split(","), path, no) for block in blocks.split("|")]
             if len(feats) != len(y):
                 raise DatasetFormatError(

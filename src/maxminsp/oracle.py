@@ -15,15 +15,16 @@ engine.  The polytope enters only through the task: `project_stack` and
 `loss_stack` (unchecked: the engine checks its stack once), `check_state`,
 `score_stack`, `l_spmp`, `r2` and, for adaptive steps, `bregman`.
 
-Every call runs one round loop, each step a multiple of the worst-case
-step 1/(2 l_spmp).  Block updates and the calibration search step at
-`fixed_eta`, FIXED_STEP worst-case steps, on every polytope; dual-gap
-certification adapts: while some row's step is above the worst-case one,
-each round is checked against the local criterion, at one Bregman
-divergence per column, and redone at half the step for the rows that
-fail it.  The certificate is exact at any iterate, so steps move how
-tight a bound is, never whether it holds.  `spmp_solve` is one
-worst-case-step engine call on one vector plus its certificate.
+Every call runs one round loop, and callers name its step in worst-case
+steps 1/(2 l_spmp), the engine alone turning that into a rate.  Block
+updates and the calibration search pass step=FIXED_STEP on every
+polytope; dual-gap certification passes step=None and adapts: while
+some row's step is above the worst-case one, each round is checked
+against the local criterion, at one Bregman divergence per column, and
+redone at half the step for the rows that fail it.  The certificate is
+exact at any iterate, so steps move how tight a bound is, never whether
+it holds.  `spmp_solve` is one engine call on one vector, at the
+worst-case step by default, plus its certificate.
 """
 
 from __future__ import annotations
@@ -41,16 +42,10 @@ __all__ = [
     "spmp_solve",
     "spmp_solve_batch_simplex",
     "certified_gap",
-    "fixed_eta",
 ]
 
 ADAPTIVE_START = 2.0 ** 10  # the first adaptive step, in worst-case steps
 FIXED_STEP = 8.0  # the step of every fixed-step caller, in worst-case steps
-
-
-def fixed_eta(task: Task) -> float:
-    """The fixed step of block updates and the calibration search on task."""
-    return FIXED_STEP / (2.0 * task.l_spmp)
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,9 @@ def spmp_solve_batch_simplex(
     V: np.ndarray,
     task: Task,
     K: int,
-    eta: float | None = None,
+    *,
+    step: float | None = 1.0,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    adaptive: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extra-gradient rounds on a (B, dim) stack of score vectors.
 
@@ -97,20 +92,21 @@ def spmp_solve_batch_simplex(
     steps from the log-iterate L and returns the next L with X, and A is
     applied to X itself.  A round takes a half-step Y from X with the
     gradient at X and a full step X+ from X with the gradient at Y; the
-    half-step points are averaged.  The default eta
-    is 1/(2 l_spmp) for the task's smoothness constant; the projection rate is
-    scaled by the entropy range so the step matches a mirror map
-    normalized to strong convexity 1.  init is a (mu, nu) pair, one vector
-    or B rows each; it is floored and checked against the polytope.
+    half-step points are averaged.  init is a (mu, nu) pair, one vector or
+    B rows each, the uniform point by default; it is floored and checked
+    against the polytope.
 
-    adaptive gives each row its own step, starting at ADAPTIVE_START times
-    eta on every task.  Every call runs the same rounds; while some row's
-    step is above eta, a round is redone with the step halved for every row
-    that fails Nemirovski's local criterion (see `_rejected`), and once
-    every row is at eta the call checks no more.  eta itself is always
-    accepted, so steps never fall below it and never grow; fixed-step calls
-    never check.  The check reuses the projections' log-iterates and makes
-    no projection of its own; a row's steps depend on that row alone.
+    step is in worst-case steps 1/(2 l_spmp), l_spmp the task's smoothness
+    constant; the projection rate is the step times the entropy range, to
+    match a mirror map normalized to strong convexity 1.  A float fixes
+    every row's step for the call, and such calls never check.  None
+    adapts: each row starts at ADAPTIVE_START worst-case steps and, while
+    some row is above the worst-case step, a round is redone with the step
+    halved for every row that fails Nemirovski's local criterion (see
+    `_rejected`).  The worst-case step is always accepted, so steps never
+    fall below it and never grow, and once every row is there the call
+    checks no more.  The check reuses the projections' log-iterates and
+    makes no projection of its own; a row's steps depend on that row alone.
 
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates and the final full-step iterates, as C-contiguous (B, dim)
@@ -123,18 +119,17 @@ def spmp_solve_batch_simplex(
     V = np.atleast_2d(np.asarray(V, dtype=float))
     VT = task.score_stack(np.ascontiguousarray(V.T))
     B = len(V)
-    rate = (1.0 / (2.0 * task.l_spmp) if eta is None else eta) * task.r2
+    rate = ((1.0 if step is None else step) / (2.0 * task.l_spmp)) * task.r2
     apply_a = task.loss_stack
     proj = task.project_stack
     if init is None:
-        X = np.tile(task.uniform_state()[:, None], (1, 2 * B))
-    else:
-        try:
-            X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
-        except ValueError:
-            raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
-        X = X.T.copy()
-        task.check_state(X)
+        init = (task.uniform_state(),) * 2
+    try:
+        X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
+    except ValueError:
+        raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
+    X = X.T.copy()
+    task.check_state(X)
     L = np.log(X)
 
     def gradient(G):
@@ -151,25 +146,25 @@ def spmp_solve_batch_simplex(
 
     # the gradient at X is kept while a round is redone
     grad_x, grad_y = gradient(np.empty_like(X)), gradient(np.empty_like(X))
-    # one step per column while checking, a row's two players sharing it
-    step = np.full(2 * B, rate * ADAPTIVE_START) if adaptive else rate
-    check = adaptive
+    # one rate per column while checking, a row's two players sharing it
+    check = step is None
+    rates = np.full(2 * B, rate * ADAPTIVE_START) if check else rate
     X_sum = np.zeros_like(X)
     try:
         for it in range(K):
             G_x = grad_x(X)
             while True:
-                if check and not (step > rate).any():
-                    check, step = False, rate
-                L_half, X_half = proj(L, G_x, step)
+                if check and not (rates > rate).any():
+                    check, rates = False, rate
+                L_half, X_half = proj(L, G_x, rates)
                 G_y = grad_y(X_half)
-                L_new, X_new = proj(L, G_y, step)
+                L_new, X_new = proj(L, G_y, rates)
                 if not check:
                     break
-                redo = _rejected(task, step, rate, G_y, (L, X), X_half, (L_new, X_new))
+                redo = _rejected(task, rates, rate, G_y, (L, X), X_half, (L_new, X_new))
                 if not redo.any():
                     break
-                step[np.concatenate([redo, redo])] *= 0.5
+                rates[np.concatenate([redo, redo])] *= 0.5
             L, X = L_new, X_new
             X_sum += X_half
     except SinkhornConvergenceError as exc:
@@ -208,24 +203,18 @@ def _rejected(task: Task, rates, floor: float, G_y, X, Y, X_new) -> np.ndarray:
 def spmp_solve(
     v: np.ndarray,
     task: Task,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
     K: int = 100,
-    eta: float | None = None,
+    *,
+    step: float | None = 1.0,
+    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OracleResult:
     """Extra-gradient saddle solver for one score vector.
 
     One engine call (see `spmp_solve_batch_simplex` for the rounds, the
-    default eta and the warm start), then its certificate and saddle value.
+    step and the warm start), then its certificate and saddle value.
     """
     v = np.asarray(v, dtype=float)
-    mu_bar, nu_bar, mu, nu = (x[0] for x in spmp_solve_batch_simplex(v, task, K, eta, init))
+    mu_bar, nu_bar, mu, nu = (x[0] for x in spmp_solve_batch_simplex(v, task, K, step=step, init=init))
     gap = float(certified_gap(mu_bar, nu_bar, v, task)[0])
     saddle = float(nu_bar @ task.apply_loss_matrix(mu_bar)) + float(v @ mu_bar) + task.offset
-    return OracleResult(
-        mu_bar=mu_bar,
-        nu_bar=nu_bar,
-        gap=gap,
-        saddle_value=saddle,
-        mu_last=mu,
-        nu_last=nu,
-    )
+    return OracleResult(mu_bar, nu_bar, gap, saddle, mu_last=mu, nu_last=nu)

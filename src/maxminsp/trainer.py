@@ -8,14 +8,14 @@ block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
 Convex combination steps use gamma_t = 2n / (t + 2n).  Each m4n block
 update is one call of the oracle's engine, `spmp_solve_batch_simplex`, on
-one score vector, at the fixed step `oracle.fixed_eta` that the
-calibration search also takes.
+one score vector at step=`oracle.FIXED_STEP`, as in the calibration
+search, from its last saddle iterates with warm starts, else uniform.
 
 Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
 averaged iterates are kept in (passes, n, dim) arrays, then one
-`dual_gap` call (one engine call over every pass's examples, with
-adaptive steps) gives each pass's dual gap and its lower bound, and one
+`dual_gap` call (one engine call over every pass's examples, adaptive at
+step=None) gives each pass's dual gap and its lower bound, and one
 `certified_gap` call gives each pass's mean block oracle gap.  The engine
 is row-independent, its adaptive steps included, so each pass's dual gap
 equals that of certifying the pass alone; certification memory is
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram
-from .oracle import certified_gap, fixed_eta, spmp_solve_batch_simplex
+from .oracle import FIXED_STEP, certified_gap, spmp_solve_batch_simplex
 from .tasks import Task
 
 __all__ = [
@@ -108,7 +108,8 @@ def predict(model: DualModel, xs: np.ndarray) -> list:
 def dual_gap(
     model: DualModel,
     K_gram: np.ndarray | None = None,
-    oracle_iters: int = 500,
+    *,
+    oracle_iters: int,
     mu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (upper, lower) on the dual suboptimality, averaged over examples.
@@ -128,9 +129,9 @@ def dual_gap(
     mu is the dual state, model.dual_mu by default.  Both bounds are means
     per state, shaped mu.shape[:-2]: 0-d for one (n, dim) state, P for a
     (P, n, dim) stack.  One engine call covers every example of every
-    state, with adaptive steps; each row's steps and iterates depend on
-    that row alone, so a state's bounds do not depend on what it is
-    stacked with.
+    state, adaptive at step=None, for oracle_iters rounds (the training's
+    `gap_oracle_iters`); each row's steps and iterates depend on that row
+    alone, so a state's bounds do not depend on what it is stacked with.
     """
     task = model.task
     if K_gram is None:
@@ -139,8 +140,7 @@ def dual_gap(
     states = mu.reshape(-1, model.n, task.embed_dim)
     coeffs = (states - model.embedded_labels()) / (model.lam * model.n)
     V = _scores_from_gram(K_gram, coeffs).reshape(-1, task.embed_dim)
-    # adaptive steps from the worst-case one up
-    mu_bar, nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, None, None, True)[:2]
+    mu_bar, nu_bar = spmp_solve_batch_simplex(V, task, oracle_iters, step=None)[:2]
     # gaps at (mu_i, nu_bar_i), then at (mu_bar_i, nu_bar_i)
     both = certified_gap(np.concatenate([states.reshape(V.shape), mu_bar]),
                          np.concatenate([nu_bar, nu_bar]), np.concatenate([V, V]), task)
@@ -170,9 +170,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     )
 
     rng = np.random.default_rng(cfg.seed)
-    eta = fixed_eta(task)
-    # last saddle iterates (mu, nu) of each example, uniform until visited
-    warm = np.tile(task.uniform_state(), (n, 2, 1)) if cfg.warm_start else None
+    # each example's start (mu, nu): uniform, or with warm starts its last saddle iterates
+    start = np.tile(task.uniform_state(), (n, 2, 1))
     # certified after training: each pass's dual state, and each block
     # update's scores and averaged saddle iterates (m4n only)
     shape = (cfg.passes, n, task.embed_dim)
@@ -188,14 +187,13 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
             i = int(rng.integers(n))
             v_i = _scores_from_gram(K_gram[i], coeffs)
             if method == "m4n":
-                init = warm[i] if warm is not None else None
                 mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
-                    v_i, task, cfg.spmp_iters, eta, init
+                    v_i, task, cfg.spmp_iters, step=FIXED_STEP, init=start[i]
                 )
                 block_v[p, b], block_mu[p, b], block_nu[p, b] = v_i, mu_bar[0], nu_bar[0]
                 direction = mu_bar[0]
-                if warm is not None:
-                    warm[i] = mu_last[0], nu_last[0]
+                if cfg.warm_start:
+                    start[i] = mu_last[0], nu_last[0]
             else:
                 y_aug = task.decode(task.apply_loss_matrix(Phi[i]) + v_i)
                 direction = task.embed(y_aug)

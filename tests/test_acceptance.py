@@ -51,11 +51,10 @@ def test_criterion_1_closed_form_oracle_agreement():
         (OrdinalTask(k=3), _ordinal_closed_form),
         (OrdinalTask(k=4), _ordinal_closed_form),
     ]:
-        L = task.l_spmp
         k = task.embed_dim
         n_each = 200 // 3 + 1
         V = rng.normal(size=(n_each, k)) * 1.5
-        mu_bars, nu_bars, _, _ = spmp_solve_batch_simplex(V, task, K=2000, eta=8.0 / L)
+        mu_bars, nu_bars, _, _ = spmp_solve_batch_simplex(V, task, K=2000, step=16.0)
         for i in range(n_each):
             value = (
                 float(nu_bars[i] @ task.apply_loss_matrix(mu_bars[i]))

@@ -145,8 +145,8 @@ def test_zeta_batched_solve_matches_per_row_solves(monkeypatch, task, budget):
     kwargs = dict(search_budget=budget, seed=4, spmp_iters=300)
     batched = zeta_bruteforce(task, eps, **kwargs)
 
-    def per_row(V, task, K, eta):
-        rows = [spmp_solve(v, task, K=K, eta=eta) for v in V]
+    def per_row(V, task, K, *, step):
+        rows = [spmp_solve(v, task, K=K, step=step) for v in V]
         return tuple(np.stack([getattr(r, name) for r in rows])
                      for name in ("mu_bar", "nu_bar", "mu_last", "nu_last"))
 

@@ -298,6 +298,21 @@ def test_calib_zero_budget_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, unread", [
+    (["--task", "multiclass", "--chain-m", "3", "--rank-m", "9"], "--chain-m, --rank-m"),
+    (["--task", "ranking", "--budget", "5", "--k", "99"], "--k, --budget"),
+    (["--task", "chain", "--k", "4", "--budget", "10"], "--k"),
+    (["--task", "ordinal", "--chain-r", "2", "--budget", "10"], "--chain-r"),
+    (["--task", "ranking", "--seed", "0"], "--seed"),
+], ids=["multiclass", "ranking-search", "chain-k", "ordinal-chain-r", "ranking-seed"])
+def test_calib_options_its_task_does_not_read_exit_2(tmp_path, args, unread):
+    # an option given on the command line must be read; defaults are fine
+    res = run(["calib", *args, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert f"takes no {unread}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_calib_chain_beyond_length_one(tmp_path):
     out = tmp_path / "calibc2"
     res = run(["calib", "--task", "chain", "--chain-m", "2", "--budget", "20",

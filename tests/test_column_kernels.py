@@ -539,12 +539,12 @@ def test_mirror_prox_stack_equals_row_calls(task):
     mu = interior_points(task, rng, rows)
     nu = interior_points(task, rng, rows)
     for init in (None, (mu, nu)):
-        stacks = spmp_solve_batch_simplex(V, task, 30, None, init)
+        stacks = spmp_solve_batch_simplex(V, task, 30, init=init)
         for s in stacks:
             assert s.shape == (rows, task.embed_dim) and s.flags.c_contiguous
         for b in range(rows):
             one = None if init is None else (mu[b], nu[b])
-            for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, None, one)):
+            for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, init=one)):
                 assert np.array_equal(got[b], row[0])
 
 
@@ -555,9 +555,9 @@ def test_adaptive_stack_equals_row_calls(task):
     rows = 6
     V = rng.normal(size=(rows, task.embed_dim)) * 3.0
     V[0] *= 10.0  # rows whose steps settle apart
-    stacks = spmp_solve_batch_simplex(V, task, 30, None, None, True)
+    stacks = spmp_solve_batch_simplex(V, task, 30, step=None)
     for b in range(rows):
-        for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, None, None, True)):
+        for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, step=None)):
             assert np.array_equal(got[b], row[0])
 
 
@@ -568,7 +568,7 @@ def test_engine_matches_probability_domain_reference(task, rows, K, scale, warm,
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(rows, task.embed_dim)) * scale
     init = (interior_points(task, rng, rows), interior_points(task, rng, rows)) if warm else None
-    got = spmp_solve_batch_simplex(V, task, K, None, init)
+    got = spmp_solve_batch_simplex(V, task, K, init=init)
     for g, r in zip(got, prob_engine(V, task, K, init)):
         assert np.max(np.abs(g - r)) <= ENGINE_ATOL
 
@@ -772,9 +772,9 @@ def test_one_bad_row_in_a_stack_raises(task):
         # a bad warm-start row, on either player or broadcast from one vector
         for init in ((stack, good), (good, stack), (bad, good[0])):
             with pytest.raises(LayoutError):
-                spmp_solve_batch_simplex(good, task, 3, None, init)
+                spmp_solve_batch_simplex(good, task, 3, init=init)
     with pytest.raises(LayoutError):
         task.check_state(np.zeros((task.embed_dim + 1, 2)))
     for init in ((good[:, 1:], good), (good, good[:2])):  # wrong width, wrong row count
         with pytest.raises(LayoutError):
-            spmp_solve_batch_simplex(good, task, 3, None, init)
+            spmp_solve_batch_simplex(good, task, 3, init=init)

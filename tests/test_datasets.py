@@ -90,6 +90,8 @@ def test_sequence_parse_errors(tmp_path):
     cases = [
         ("seq0\t12\n", 1),  # missing field
         ("seq0\t1Z\t0.1|0.2\n", 1),  # bad label character
+        ("seq0\t12\t0.1|0.2\nseq1\t1\u00b2\t0.1|0.2\n", 2),  # a superscript two, which isdigit() takes
+        ("seq0\t1\u0663\t0.1|0.2\n", 1),  # an Arabic-Indic three, which int() reads as 3
         ("seq0\t12\t0.1\n", 1),  # one block for two labels
         ("seq0\t12\t0.1|0.2\nseq1\t121\t0.1|0.2|0.3\n", 2),  # length change
         ("seq0\t12\t0.1|x\n", 1),  # bad feature
@@ -101,6 +103,26 @@ def test_sequence_parse_errors(tmp_path):
         with pytest.raises(DatasetFormatError) as exc:
             load_dataset(_write(tmp_path, text, "bad.tsv"), "chain")
         assert exc.value.line_no == line
+
+
+def test_sequence_labels_keep_one_alphabet(tmp_path):
+    # digits 1..9 or letters a..z, never both: the first label fixes the file's
+    row = "\t0.1|0.2\n"
+    cases = [
+        ("seq0\t1a" + row, 1),  # within the first label
+        ("seq0\ta1" + row, 1),
+        ("seq0\t12" + row + "seq1\t21" + row + "seq2\tb2" + row, 3),
+        ("seq0\tab" + row + "seq1\t12" + row, 2),
+        ("".join(f"seq{i}\t{y}{row}" for i, y in enumerate(["12", "21", "1a", "b2", "22"])), 3),
+    ]
+    for text, line in cases:
+        with pytest.raises(DatasetFormatError, match="digit and letter") as exc:
+            load_dataset(_write(tmp_path, text, "mixed.tsv"), "chain")
+        assert exc.value.line_no == line
+    # either alphabet alone loads, with the same symbols
+    digits = load_dataset(_write(tmp_path, "seq0\t12" + row + "seq1\t21" + row, "d.tsv"), "chain")
+    letters = load_dataset(_write(tmp_path, "seq0\tab" + row + "seq1\tba" + row, "l.tsv"), "chain")
+    assert digits.ys == letters.ys == [(1, 2), (2, 1)]
 
 
 def test_ranking_parse_errors(tmp_path):

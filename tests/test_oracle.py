@@ -52,31 +52,28 @@ def test_multiclass_zero_scores_uniform_saddle():
 
 def test_binary_closed_form_random_scores():
     t = MulticlassTask(k=2)
-    L = t.l_spmp
     rng = np.random.default_rng(0)
     for _ in range(30):
         v = rng.normal(size=2)
-        res = spmp_solve(v, t, K=2000, eta=8.0 / L)
+        res = spmp_solve(v, t, K=2000, step=16.0)
         assert abs(res.saddle_value - binary_partition_closed_form(v)) < 2e-3
 
 
 def test_ordinal_closed_form_random_scores():
     t = OrdinalTask(k=3)
-    L = t.l_spmp
     rng = np.random.default_rng(1)
     for _ in range(30):
         v = rng.normal(size=3)
-        res = spmp_solve(v, t, K=2000, eta=8.0 / L)
+        res = spmp_solve(v, t, K=2000, step=16.0)
         assert abs(res.saddle_value - ordinal_partition_closed_form(v)) < 2e-3
 
 
 def test_multiclass_closed_form_random_scores():
     t = MulticlassTask(k=4)
-    L = t.l_spmp
     rng = np.random.default_rng(2)
     for _ in range(30):
         v = rng.normal(size=4)
-        res = spmp_solve(v, t, K=2000, eta=8.0 / L)
+        res = spmp_solve(v, t, K=2000, step=16.0)
         assert abs(res.saddle_value - multiclass_partition_closed_form(v)) < 2e-3
 
 
@@ -349,7 +346,7 @@ def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, sca
     V = np.random.default_rng(3).normal(size=(64, t.embed_dim)) * scale
     rates = _recorded_rates(monkeypatch, t)
     K = 40
-    out = spmp_solve_batch_simplex(V, t, K, None, None, True)
+    out = spmp_solve_batch_simplex(V, t, K, step=None)
     # projection rates are steps times the entropy range
     steps = np.array(rates) / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
     assert len(steps) >= 2 * K and steps.shape[1] == 128
@@ -370,7 +367,7 @@ def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):
     t = ChainTask(3, 2)
     monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
     rates = _recorded_rates(monkeypatch, t)
-    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 2, None, None, True)
+    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 2, step=None)
     steps = np.array(rates)[:, 0] / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
     assert list(steps) == [2.0 ** (10 - j // 2) for j in range(22)] + [1.0, 1.0]
 
@@ -397,10 +394,10 @@ def test_fixed_steps_never_check_the_criterion(monkeypatch, t):
     calls = _counted_bregman(monkeypatch, t)
     V = np.random.default_rng(5).normal(size=(7, t.embed_dim)) * 2.0
     out = spmp_solve_batch_simplex(V, t, 20)
-    spmp_solve_batch_simplex(V, t, 20, oracle.fixed_eta(t), (out[2], out[3]))
+    spmp_solve_batch_simplex(V, t, 20, step=oracle.FIXED_STEP, init=(out[2], out[3]))
     spmp_solve(V[0], t, K=20)
     assert calls == []
-    spmp_solve_batch_simplex(V, t, 1, None, None, True)
+    spmp_solve_batch_simplex(V, t, 1, step=None)
     assert calls
 
 
@@ -411,7 +408,7 @@ def test_criterion_runs_only_above_the_worst_case_step(monkeypatch):
     t = ChainTask(3, 2)
     monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
     calls = _counted_bregman(monkeypatch, t)
-    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 40, None, None, True)
+    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 40, step=None)
     assert len(calls) == 10
 
 
@@ -460,7 +457,7 @@ def test_adaptive_engine_matches_hand_rolled_rounds(t, scale):
     rng = np.random.default_rng(14)
     for _ in range(3):
         v = rng.normal(size=t.embed_dim) * scale
-        got = spmp_solve_batch_simplex(v, t, 30, None, None, True)
+        got = spmp_solve_batch_simplex(v, t, 30, step=None)
         for a, b in zip(got, _hand_rolled_adaptive(t, v, 30)):
             assert np.max(np.abs(a[0] - b)) < 1e-9
 
@@ -471,7 +468,7 @@ def test_adaptive_certificate_beats_the_worst_case_step():
     V = np.random.default_rng(4).normal(size=(20, t.embed_dim)) * 3.0
     mu = np.tile(t.uniform_state(), (20, 1))
     fixed = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50)[1], V, t)
-    adaptive = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50, None, None, True)[1], V, t)
+    adaptive = certified_gap(mu, spmp_solve_batch_simplex(V, t, 50, step=None)[1], V, t)
     assert adaptive.mean() < fixed.mean()
 
 
@@ -480,5 +477,5 @@ def test_adaptive_ranking_certificate_beats_the_worst_case_step():
     t = RankingTask(3)
     V = np.random.default_rng(4).normal(size=(20, t.embed_dim)) * 3.0
     fixed = certified_gap(*spmp_solve_batch_simplex(V, t, 50)[:2], V, t)
-    adaptive = certified_gap(*spmp_solve_batch_simplex(V, t, 50, None, None, True)[:2], V, t)
+    adaptive = certified_gap(*spmp_solve_batch_simplex(V, t, 50, step=None)[:2], V, t)
     assert adaptive.mean() < 0.1 * fixed.mean()

@@ -227,7 +227,7 @@ def test_chain_dual_gap_matches_per_example_solves():
     E = np.stack([task.embed(y) for y in task.labels()])
     per_example = []
     for i in range(model.n):
-        nu_bar = spmp_solve_batch_simplex(V[i], task, 60, None, None, True)[1][0]
+        nu_bar = spmp_solve_batch_simplex(V[i], task, 60, step=None)[1][0]
         upper = np.max(E @ (task.apply_loss_matrix(nu_bar) + V[i])) - V[i] @ Phi[i]
         bayes = np.min(E @ task.apply_loss_matrix(model.dual_mu[i]))
         held = V[i] @ (model.dual_mu[i] - Phi[i]) + bayes
@@ -295,7 +295,7 @@ def test_gap_interval_brackets_the_exact_gap(kind, size, M, R, n, scale, K, seed
     # the lower end is H_i(mu_bar_i) - H_i(mu_i), with H_i by label enumeration
     task = model.task
     V = _scores_from_gram(gram(model.xs, model.kernel), (mu - model.embedded_labels()) / (model.lam * n))
-    mu_bar = spmp_solve_batch_simplex(V, task, K, None, None, True)[0]
+    mu_bar = spmp_solve_batch_simplex(V, task, K, step=None)[0]
     E = np.stack([task.embed(y) for y in task.labels()])
 
     def H(m):
@@ -318,13 +318,13 @@ def test_hmm_chain_certified_gap_within_one_percent():
 
 
 def _recorded_steps(monkeypatch, module):
-    """Engine calls made through module are recorded: (eta, adaptive) each."""
+    """Engine calls made through module are recorded: the step of each."""
     steps = []
     engine = module.spmp_solve_batch_simplex
 
-    def recording(V, task, K, eta=None, init=None, adaptive=False):
-        steps.append((eta, adaptive))
-        return engine(V, task, K, eta, init, adaptive)
+    def recording(V, task, K, *, step=1.0, init=None):
+        steps.append(step)
+        return engine(V, task, K, step=step, init=init)
 
     monkeypatch.setattr(module, "spmp_solve_batch_simplex", recording)
     return steps
@@ -335,9 +335,9 @@ def _recorded_steps(monkeypatch, module):
 def test_fixed_step_callers_share_one_step(monkeypatch, task):
     # block updates and the calibration search pass one step on every
     # polytope; dual-gap certification alone adapts, from the worst-case step
-    step = oracle.FIXED_STEP / (2 * task.l_spmp)
     if task.kind in ("multiclass", "ordinal"):
-        assert step == 4.0 / task.l_spmp  # the simplices' earlier calibration step, bit for bit
+        # the simplices' earlier calibration step, bit for bit
+        assert oracle.FIXED_STEP / (2 * task.l_spmp) == 4.0 / task.l_spmp
     labels = list(task.labels())
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(6, 2))
@@ -346,12 +346,11 @@ def test_fixed_step_callers_share_one_step(monkeypatch, task):
     cfg = TrainConfig(passes=1, lam=0.1, spmp_iters=5, gap_oracle_iters=5, seed=0,
                       kernel=KernelSpec("gaussian", 1.0))
     gbcfw_train((xs, ys), task, cfg)
-    assert block[-1] == (None, True)
-    assert block[:-1] == [(step, False)] * 6
+    assert block == [oracle.FIXED_STEP] * 6 + [None]
     if task.kind != "ranking":  # the Birkhoff search is too slow for tier-1
         search = _recorded_steps(monkeypatch, calibration)
         calibration.zeta_bruteforce(task, [0.1], search_budget=8, spmp_iters=5)
-        assert search == [(step, False)]
+        assert search == [oracle.FIXED_STEP]
 
 
 def test_fixed_block_step_beats_the_worst_case_step(monkeypatch):
@@ -363,8 +362,9 @@ def test_fixed_block_step_beats_the_worst_case_step(monkeypatch):
     fixed = gbcfw_train((ds.xs, ds.ys), task, cfg)[1].records[-1]["dual_gap"]
     engine = trainer.spmp_solve_batch_simplex
 
-    def worst_case(V, task, K, eta=None, init=None, adaptive=False):
-        return engine(V, task, K, None, init, adaptive)
+    def worst_case(V, task, K, *, step=1.0, init=None):
+        # block updates at the worst-case step; certification still adapts
+        return engine(V, task, K, step=None if step is None else 1.0, init=init)
 
     monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", worst_case)
     worst = gbcfw_train((ds.xs, ds.ys), task, cfg)[1].records[-1]["dual_gap"]
@@ -440,8 +440,8 @@ def test_mean_oracle_gap_averages_block_certificates(monkeypatch, setup):
     solves = []
     engine = trainer.spmp_solve_batch_simplex
 
-    def recording(V, *args):
-        out = engine(V, *args)
+    def recording(V, *args, **kwargs):
+        out = engine(V, *args, **kwargs)
         solves.append((V, out))
         return out
 
