@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .projections import LayoutError, _chain_stack, _sinkhorn_stack, _softmax_stack
 
@@ -565,6 +564,9 @@ class RankingTask(Task):
         return -X / self.M
 
     def _assignment_value(self, V: np.ndarray) -> float:
+        # imported here: scipy.optimize is slow to load, and only rankings use it
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-V)
         return float(V[rows, cols].sum())
 

@@ -15,11 +15,11 @@ Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
 averaged iterates are kept in (passes, n, dim) arrays, then one
 `dual_gap` call (one engine call over every pass's examples, adaptive at
-step=None) gives each pass's dual gap and its lower bound, and one
-`certified_gap` call gives each pass's mean block oracle gap.  The engine
-is row-independent, its adaptive steps included, so each pass's dual gap
-equals that of certifying the pass alone; certification memory is
-O(passes n dim).
+step=None, with restarted averaging) gives each pass's dual gap and its
+lower bound, and one `certified_gap` call gives each pass's mean block
+oracle gap.  The engine is row-independent, its adaptive steps and
+restarts included, so each pass's dual gap equals that of certifying the
+pass alone; certification memory is O(passes n dim).
 """
 
 from __future__ import annotations
@@ -98,9 +98,15 @@ def _scores_from_gram(K_rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return -(K_rows @ coeffs)
 
 
+def _features(xs) -> np.ndarray:
+    """Inputs as an (n, d) matrix; a 1-D array is n inputs of one feature, as in `kernels`."""
+    xs = np.asarray(xs, dtype=float)
+    return xs[:, None] if xs.ndim == 1 else np.atleast_2d(xs)
+
+
 def predict(model: DualModel, xs: np.ndarray) -> list:
     """Decode the score map at each input row."""
-    G = cross_gram(np.atleast_2d(np.asarray(xs, dtype=float)), model.xs, model.kernel)
+    G = cross_gram(_features(xs), model.xs, model.kernel)
     # the (dim, B) column stack decode takes, in one gemm: negating the small operand is exact
     return model.task.decode((-model.kernel_coeffs.T) @ G.T)
 
@@ -130,7 +136,9 @@ def dual_gap(
     per state, shaped mu.shape[:-2]: 0-d for one (n, dim) state, P for a
     (P, n, dim) stack.  One engine call covers every example of every
     state, adaptive at step=None, for oracle_iters rounds (the training's
-    `gap_oracle_iters`); each row's steps and iterates depend on that row
+    `gap_oracle_iters`) in `oracle.RESTARTS` segments, each restarted from
+    the last one's average; (mu_bar_i, nu_bar_i) is the last segment's
+    average.  Each row's steps, restarts and iterates depend on that row
     alone, so a state's bounds do not depend on what it is stacked with.
     """
     task = model.task
@@ -151,11 +159,13 @@ def dual_gap(
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
     xs, ys = data
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = _features(xs)
     ys = list(ys)
     n = len(ys)
     if n == 0:
         raise ValueError("empty training set")
+    if len(xs) != n:
+        raise ValueError(f"{len(xs)} feature rows for {n} labels")
     Phi = np.stack([task.embed(y) for y in ys])  # embed checks each label
     kernel = cfg.kernel or KernelSpec("gaussian", 1.0)
     K_gram = gram(xs, kernel)

@@ -550,15 +550,17 @@ def test_mirror_prox_stack_equals_row_calls(task):
 
 @pytest.mark.parametrize("task", ENGINE_TASKS, ids=lambda t: t.kind)
 def test_adaptive_stack_equals_row_calls(task):
-    # each row keeps its own steps, so stacking rows changes no bit
+    # each row keeps its own steps and restarts at the same rounds, so
+    # stacking rows changes no bit, at the restart schedule's edges too
     rng = np.random.default_rng(32)
     rows = 6
     V = rng.normal(size=(rows, task.embed_dim)) * 3.0
     V[0] *= 10.0  # rows whose steps settle apart
-    stacks = spmp_solve_batch_simplex(V, task, 30, step=None)
-    for b in range(rows):
-        for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, 30, step=None)):
-            assert np.array_equal(got[b], row[0])
+    for K in (1, 2, 3, 30):
+        stacks = spmp_solve_batch_simplex(V, task, K, step=None)
+        for b in range(rows):
+            for got, row in zip(stacks, spmp_solve_batch_simplex(V[b], task, K, step=None)):
+                assert np.array_equal(got[b], row[0])
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

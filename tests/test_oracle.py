@@ -7,7 +7,7 @@ from maxminsp.oracle import (
     spmp_solve,
     spmp_solve_batch_simplex,
 )
-from maxminsp.projections import project
+from maxminsp.projections import PROB_FLOOR, project
 from maxminsp.tasks import (
     ChainTask,
     LayoutError,
@@ -323,17 +323,42 @@ def test_bregman_matches_direct_divergence(t):
     assert np.all(np.abs(t.bregman(L_P, cols[0], L_P, cols[0])) < 1e-12)
 
 
-def _recorded_rates(monkeypatch, t):
-    """Calls of the task's project_stack are recorded: each call's eta per column."""
-    rates = []
-    project_stack = type(t).project_stack
+def _recorded_events(monkeypatch, t):
+    """Calls of the task's project_stack and loss_stack are recorded in order:
+    each projection's eta per column, and None for each apply of A."""
+    events = []
+    project_stack, loss_stack = type(t).project_stack, type(t).loss_stack
 
-    def recording(self, L, G, eta):
-        rates.append(np.broadcast_to(eta, L.shape[1:]).copy())
+    def projecting(self, L, G, eta):
+        events.append(np.broadcast_to(eta, L.shape[1:]).copy())
         return project_stack(self, L, G, eta)
 
-    monkeypatch.setattr(type(t), "project_stack", recording)
-    return rates
+    def applying(self, X):
+        events.append(None)
+        return loss_stack(self, X)
+
+    monkeypatch.setattr(type(t), "project_stack", projecting)
+    monkeypatch.setattr(type(t), "loss_stack", applying)
+    return events
+
+
+def _rounds(events):
+    """The engine's rounds in recorded events, each an array of its tries' etas.
+
+    A round applies A at its start X, then makes one try of three calls
+    (project, apply A, project at the same eta) and one more per redo.
+    """
+    rounds, i = [], 0
+    while i < len(events):
+        assert events[i] is None
+        i, tries = i + 1, []
+        while i < len(events) and events[i] is not None:
+            half, apply, full = events[i:i + 3]
+            assert apply is None and np.array_equal(half, full)
+            tries.append(half)
+            i += 3
+        rounds.append(np.array(tries))
+    return rounds
 
 
 @pytest.mark.parametrize("t, scale", [
@@ -344,32 +369,39 @@ def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, sca
     # 64 random rows; on chains some fail the criterion even at the
     # worst-case step, which is accepted, so every round ends
     V = np.random.default_rng(3).normal(size=(64, t.embed_dim)) * scale
-    rates = _recorded_rates(monkeypatch, t)
+    events = _recorded_events(monkeypatch, t)
     K = 40
     out = spmp_solve_batch_simplex(V, t, K, step=None)
+    rounds = _rounds(events)
     # projection rates are steps times the entropy range
-    steps = np.array(rates) / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
-    assert len(steps) >= 2 * K and steps.shape[1] == 128
+    worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
+    assert len(rounds) == K
+    steps = np.concatenate(rounds) / worst
+    assert steps.shape[1] == 128
     # each column's step is a power of two from 2**10 down to 1, shared by
-    # the row's two players, and never grows
+    # the row's two players; within a segment it never grows, and each of
+    # the four segments of 10 rounds starts at ADAPTIVE_START
     assert np.all(steps >= 1.0) and np.all(steps <= 2.0 ** 10)
     assert np.array_equal(np.exp2(np.round(np.log2(steps))), steps)
     assert np.array_equal(steps[:, :64], steps[:, 64:])
-    assert np.all(np.diff(steps, axis=0) <= 0)
-    assert steps[0, 0] == oracle.ADAPTIVE_START
+    for seg in range(4):
+        seg_steps = np.concatenate(rounds[10 * seg:10 * seg + 10]) / worst
+        assert np.all(np.diff(seg_steps, axis=0) <= 0)
+        assert np.all(seg_steps[0] == oracle.ADAPTIVE_START)
     for x in out:
         t.check_state(x.T)
 
 
 def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):
     # with the criterion failing everywhere, each round is redone until
-    # every row is at the worst-case step, then accepted
+    # every row is at the worst-case step, then accepted: at K=2, in each
+    # of two one-round segments
     t = ChainTask(3, 2)
     monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
-    rates = _recorded_rates(monkeypatch, t)
+    events = _recorded_events(monkeypatch, t)
     spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 2, step=None)
-    steps = np.array(rates)[:, 0] / ((1.0 / (2.0 * t.l_spmp)) * t.r2)
-    assert list(steps) == [2.0 ** (10 - j // 2) for j in range(22)] + [1.0, 1.0]
+    steps = [list(r[:, 0] / ((1.0 / (2.0 * t.l_spmp)) * t.r2)) for r in _rounds(events)]
+    assert steps == 2 * [[2.0 ** (10 - j) for j in range(11)]]
 
 
 def _counted_bregman(monkeypatch, t):
@@ -402,20 +434,29 @@ def test_fixed_steps_never_check_the_criterion(monkeypatch, t):
 
 
 def test_criterion_runs_only_above_the_worst_case_step(monkeypatch):
-    # with the criterion failing everywhere, the first round is checked once
-    # at each step from 2**10 down to 2, one divergence per check; no round
-    # at the worst-case step is checked
+    # with the criterion failing everywhere, the first round of each of the
+    # four segments is checked once at each step from 2**10 down to 2, one
+    # divergence per check; no round at the worst-case step is checked
     t = ChainTask(3, 2)
     monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
     calls = _counted_bregman(monkeypatch, t)
     spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 40, step=None)
-    assert len(calls) == 10
+    assert len(calls) == 4 * 10
+
+
+def _segments(K):
+    """The adaptive schedule's segment lengths (oracle.RESTARTS = 4): ends at K*j // 4, empty ones dropped."""
+    ends = sorted({K * j // 4 for j in range(1, 4)} - {0}) + [K]
+    return list(np.diff([0] + ends))
 
 
 def _hand_rolled_adaptive(t, v, K):
-    """The adaptive rounds for one vector, with one-vector projections and exact logs."""
+    """The adaptive rounds for one vector, with one-vector projections and exact logs.
+
+    Each segment is one unrestarted run from the previous segment's
+    floored averages, its step starting again at 2**10 worst-case steps.
+    """
     worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
-    rate = 2.0 ** 10 * worst
     tol = 4 * t.embed_dim * oracle._FLOOR_SLACK
 
     def D(p, q):
@@ -423,22 +464,26 @@ def _hand_rolled_adaptive(t, v, K):
         return float(t.bregman(*col)[0])
 
     x = (t.uniform_state(), t.uniform_state())
-    sums = [np.zeros(t.embed_dim), np.zeros(t.embed_dim)]
-    for _ in range(K):
-        gx = (t.apply_loss_matrix(x[1]) + v, -t.apply_loss_matrix(x[0]))
-        while True:
-            y = tuple(project(t, x[j], gx[j], rate) for j in (0, 1))
-            gy = (t.apply_loss_matrix(y[1]) + v, -t.apply_loss_matrix(y[0]))
-            x_new = tuple(project(t, x[j], gy[j], rate) for j in (0, 1))
-            slack = sum(D(x_new[j], y[j]) + D(y[j], x[j]) - rate * (gx[j] - gy[j]) @ (y[j] - x_new[j])
-                        for j in (0, 1))
-            if slack >= -tol or rate <= worst:
-                break
-            rate /= 2
-        for j in (0, 1):
-            sums[j] += y[j]
-        x = x_new
-    return sums[0] / K, sums[1] / K, x[0], x[1]
+    for n in _segments(K):
+        rate = 2.0 ** 10 * worst
+        sums = [np.zeros(t.embed_dim), np.zeros(t.embed_dim)]
+        for _ in range(n):
+            gx = (t.apply_loss_matrix(x[1]) + v, -t.apply_loss_matrix(x[0]))
+            while True:
+                y = tuple(project(t, x[j], gx[j], rate) for j in (0, 1))
+                gy = (t.apply_loss_matrix(y[1]) + v, -t.apply_loss_matrix(y[0]))
+                x_new = tuple(project(t, x[j], gy[j], rate) for j in (0, 1))
+                slack = sum(D(x_new[j], y[j]) + D(y[j], x[j]) - rate * (gx[j] - gy[j]) @ (y[j] - x_new[j])
+                            for j in (0, 1))
+                if slack >= -tol or rate <= worst:
+                    break
+                rate /= 2
+            for j in (0, 1):
+                sums[j] += y[j]
+            x = x_new
+        bars = sums[0] / n, sums[1] / n
+        x_last, x = x, tuple(np.maximum(b, PROB_FLOOR) for b in bars)
+    return bars[0], bars[1], x_last[0], x_last[1]
 
 
 def _hand_rolled_cases():
@@ -460,6 +505,21 @@ def test_adaptive_engine_matches_hand_rolled_rounds(t, scale):
         got = spmp_solve_batch_simplex(v, t, 30, step=None)
         for a, b in zip(got, _hand_rolled_adaptive(t, v, 30)):
             assert np.max(np.abs(a[0] - b)) < 1e-9
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(5), ChainTask(3, 2), RankingTask(3)],
+                         ids=lambda t: t.kind)
+def test_short_adaptive_calls_equal_chained_one_round_calls(t):
+    # K <= 4 makes one-round segments: a call equals, bit for bit, K calls
+    # of one round, each started from the previous call's averages
+    V = np.random.default_rng(15).normal(size=(5, t.embed_dim)) * 2.0
+    for K in (2, 3, 4):
+        init = None
+        for _ in range(K):
+            chained = spmp_solve_batch_simplex(V, t, 1, step=None, init=init)
+            init = chained[:2]
+        for a, b in zip(spmp_solve_batch_simplex(V, t, K, step=None), chained):
+            assert np.array_equal(a, b)
 
 
 def test_adaptive_certificate_beats_the_worst_case_step():

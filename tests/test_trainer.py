@@ -67,21 +67,34 @@ def test_step_size_schedule():
         assert gammas[0] == 1.0 and gammas[0] > gammas[1] > gammas[2]
 
 
-def test_one_example_binary_reaches_dual_optimum():
+@pytest.fixture(scope="module")
+def binary_training():
+    """One example of two classes at lambda 1, trained for 400 passes."""
+    cfg = TrainConfig(passes=400, lam=1.0, spmp_iters=200, kernel=KernelSpec("gaussian", gamma=1.0), seed=0)
+    return gbcfw_train((np.zeros((1, 1)), [1]), MulticlassTask(k=2), cfg)
+
+
+def test_one_example_binary_reaches_dual_optimum(binary_training):
     xs = np.zeros((1, 1))
-    ys = [1]
     task = MulticlassTask(k=2)
     kern = KernelSpec("gaussian", gamma=1.0)
-    lam = 1.0
-    best, mu_star = _dual_objective_grid(task, lam, k_self=1.0)
+    best, mu_star = _dual_objective_grid(task, 1.0, k_self=1.0)
     assert np.max(np.abs(mu_star - 0.5)) < 1e-4
-    cfg = TrainConfig(passes=400, lam=lam, spmp_iters=200, kernel=kern, seed=0)
-    model, report = gbcfw_train((xs, ys), task, cfg)
+    model, report = binary_training
     assert abs(best - (-0.75 + task.offset)) < 1e-8
     # the trainer reports the objective without the loss offset
     assert abs(report.records[-1]["dual_objective"] - (best - task.offset)) < 1e-4
     gap, _ = dual_gap(model, K_gram=gram(xs, kern), oracle_iters=4000)
     assert gap <= 1e-4
+
+
+def test_restarted_certificate_reaches_the_exact_gap(binary_training):
+    # the trained state's exact gap is about 1e-8; at the default 500
+    # rounds one uniform average certifies 1e-3, and restarts without the
+    # step reset 7e-5
+    model, _ = binary_training
+    gap, _ = dual_gap(model, oracle_iters=500)
+    assert gap <= 1e-6
 
 
 def test_fresh_model_dual_gap_two_thirds():
@@ -196,6 +209,24 @@ def test_invalid_config_rejected():
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError):
         gbcfw_train((np.zeros((0, 2)), []), MulticlassTask(k=2), TrainConfig())
+
+
+def test_one_dimensional_features_are_one_feature_per_example():
+    # a 1-D feature array trains and predicts as the same (n, 1) matrix
+    xs = np.linspace(-1, 1, 6)
+    ys = [1, 1, 1, 2, 2, 2]
+    cfg = TrainConfig(passes=2, lam=0.1, spmp_iters=10, gap_oracle_iters=20)
+    flat, flat_report = gbcfw_train((xs, ys), MulticlassTask(2), cfg)
+    col, col_report = gbcfw_train((xs[:, None], ys), MulticlassTask(2), cfg)
+    assert np.array_equal(flat.dual_mu, col.dual_mu)
+    assert [r["dual_gap"] for r in flat_report.records] == [r["dual_gap"] for r in col_report.records]
+    assert predict(flat, xs) == predict(col, xs[:, None]) == predict(col, xs)
+
+
+def test_feature_label_length_mismatch_rejected():
+    for xs in (np.zeros((5, 2)), np.zeros(7)):
+        with pytest.raises(ValueError, match=f"{len(xs)} feature rows for 6 labels"):
+            gbcfw_train((xs, [1] * 6), MulticlassTask(k=2), TrainConfig())
 
 
 def test_chain_training_end_to_end():
