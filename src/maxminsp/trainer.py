@@ -6,10 +6,17 @@ is represented through kernel coefficients C_i = (mu_i - phi(y_i)) / (lambda
 n), and the score at x is g(x) = -sum_j k(x, x_j) C_j.  Per iteration one
 block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
-Convex combination steps use gamma_t = 2n / (t + 2n).  Each m4n block
-update is one call of the oracle's engine, `spmp_solve_batch_simplex`, on
-one score vector at step=`oracle.FIXED_STEP`, as in the calibration
-search, from its last saddle iterates with warm starts, else uniform.
+Each m4n block update is one call of the oracle's engine,
+`spmp_solve_batch_simplex`, on one score vector at step=`oracle.FIXED_STEP`,
+as in the calibration search, from its last saddle iterates with warm
+starts, else uniform.  The block then moves to (1 - gamma) mu_i + gamma d,
+d the direction.  m3n takes the paper's gamma_t = 2n / (t + 2n).  m4n
+takes the best of `LINE_SEARCH` and gamma_t for the dual objective along
+that segment (`_line_search`), in one `bayes_risk` call: 0 is a candidate,
+so the dual objective never falls.  The search is m4n's alone, because the
+objective it maximizes is m4n's dual; the margin baseline's dual has a
+linear loss term in place of the Bayes term.  Each pass's record gives the
+mean step taken and the number of steps at 0.
 
 Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
@@ -43,6 +50,10 @@ __all__ = [
     "dual_gap",
     "predict",
 ]
+
+# the m4n block step's candidates beside 2n / (t + 2n), chosen by
+# measurement (README): 0 first, so the dual objective never falls
+LINE_SEARCH = np.linspace(0.0, 1.0, 65)
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,25 @@ def dual_gap(
     return gaps.mean(axis=1).reshape(mu.shape[:-2]), lower.mean(axis=1).reshape(mu.shape[:-2])
 
 
+def _line_search(task: Task, mu_i: np.ndarray, d: np.ndarray, v_i: np.ndarray,
+                 curvature: float, gamma_t: float) -> tuple[float, float]:
+    """The m4n block step: (gamma, n times the dual objective's gain) at the best candidate.
+
+    Moving block i from mu_i toward d by gamma changes the dual objective by
+    1/n times  bayes((1-gamma) mu_i + gamma d) - bayes(mu_i) + gamma v_i.delta
+    - gamma^2 curvature |delta|^2 / 2,  with delta = d - mu_i, v_i the block's
+    scores and curvature K_ii / (lambda n).  The candidates are LINE_SEARCH,
+    whose first entry is 0, and gamma_t; their points go to `bayes_risk` as
+    one column stack, each column the point the step itself computes.
+    """
+    gammas = np.append(LINE_SEARCH, gamma_t)
+    delta = d - mu_i
+    bayes = task.bayes_risk(np.outer(mu_i, 1.0 - gammas) + np.outer(d, gammas))
+    gains = bayes - bayes[0] + gammas * float(v_i @ delta) - gammas ** 2 * (0.5 * curvature * float(delta @ delta))
+    j = int(np.argmax(gains))  # the first best: gamma = 0 unless a step gains
+    return float(gammas[j]), float(gains[j])
+
+
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
     xs, ys = data
     xs = _features(xs)
@@ -188,7 +218,7 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     mu_passes = np.empty(shape)
     if method == "m4n":
         block_v, block_mu, block_nu = np.empty(shape), np.empty(shape), np.empty(shape)
-    dual_objs, walls = [], []
+    dual_objs, walls, steps = [], [], np.empty((cfg.passes, n))
 
     t = 0
     t0 = time.perf_counter()
@@ -208,6 +238,9 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
                 y_aug = task.decode(task.apply_loss_matrix(Phi[i]) + v_i)
                 direction = task.embed(y_aug)
             gamma = 2.0 * n / (t + 2.0 * n)
+            if method == "m4n":
+                gamma = _line_search(task, mu[i], direction, v_i, K_gram[i, i] / (cfg.lam * n), gamma)[0]
+            steps[p, b] = gamma
             mu[i] = (1.0 - gamma) * mu[i] + gamma * direction
             coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
             t += 1
@@ -230,7 +263,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     return model, TrainReport([
         {"pass": p + 1, "dual_objective": dual_objs[p], "primal_upper": dual_objs[p] + float(gaps[p]),
          "dual_gap": float(gaps[p]), "dual_gap_lower": float(lowers[p]),
-         "mean_oracle_gap": float(oracle_gaps[p]), "wall_s": walls[p], "certify_s": certify_s}
+         "mean_oracle_gap": float(oracle_gaps[p]), "mean_step": float(steps[p].mean()),
+         "zero_steps": int(np.count_nonzero(steps[p] == 0.0)), "wall_s": walls[p], "certify_s": certify_s}
         for p in range(cfg.passes)
     ])
 

@@ -60,11 +60,6 @@ def _dual_objective_grid(task, lam, k_self):
     return best + task.offset, arg
 
 
-def test_step_size_schedule():
-    # gamma_t = 2n/(t+2n): first step is a full step, then decreasing
-    for n in (1, 10):
-        gammas = [2 * n / (t + 2 * n) for t in range(3)]
-        assert gammas[0] == 1.0 and gammas[0] > gammas[1] > gammas[2]
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +341,134 @@ def test_hmm_chain_certified_gap_within_one_percent():
     exact = float(np.mean(exact_dual_gaps(model)))
     final = report.records[-1]
     assert final["dual_gap_lower"] <= exact <= final["dual_gap"] <= 1.01 * exact
+
+
+def dual_objective(model, K_gram, mu):
+    """mean_i bayes(mu_i) - (lambda/2) |w|^2 of a dual state, from scratch, without the loss offset."""
+    coeffs = (mu - model.embedded_labels()) / (model.lam * model.n)
+    return float(np.mean(model.task.bayes_risk(mu.T))) - 0.5 * model.lam * float(np.sum(coeffs * (K_gram @ coeffs)))
+
+
+def _traced_steps(train, data, task, cfg):
+    """Train, recording every block step; returns (model, report, steps).
+
+    A step's record holds its block i, drawn as the trainer draws it, the
+    dual state before it (mu), its scores (v) and, for m4n, the oracle's
+    averaged point (d) and the line search's gamma_t argument, gamma and gain.
+    """
+    models, steps = [], []
+    model_cls, scores, engine, search = (trainer.DualModel, trainer._scores_from_gram,
+                                         trainer.spmp_solve_batch_simplex, trainer._line_search)
+
+    def scores_recording(K_rows, coeffs):
+        v = scores(K_rows, coeffs)
+        if K_rows.ndim == 1:  # a block step's; dual_gap passes the whole Gram matrix
+            steps.append({"mu": models[0].dual_mu.copy(), "v": v})
+        return v
+
+    def engine_recording(V, task, K, *, step=1.0, init=None):
+        out = engine(V, task, K, step=step, init=init)
+        if step is not None:  # a block update, not certification
+            steps[-1]["d"] = out[0][0]
+        return out
+
+    def search_recording(*args):
+        gamma, gain = search(*args)
+        steps[-1].update(gamma_t=args[-1], gamma=gamma, gain=gain)
+        return gamma, gain
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "DualModel", lambda **kw: models.append(model_cls(**kw)) or models[-1])
+        mp.setattr(trainer, "_scores_from_gram", scores_recording)
+        mp.setattr(trainer, "spmp_solve_batch_simplex", engine_recording)
+        mp.setattr(trainer, "_line_search", search_recording)
+        model, report = train(data, task, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for s in steps:
+        s["i"] = int(rng.integers(model.n))
+    return model, report, steps
+
+
+def _tiny_setup(kind, warm_start=True, n=6, passes=4, seed=0):
+    """(data, task, config) of a seeded training on n random examples of a small task."""
+    task = {"multiclass": MulticlassTask(3), "ordinal": OrdinalTask(4),
+            "chain": ChainTask(M=3, R=2), "ranking": RankingTask(3)}[kind]
+    rng = np.random.default_rng(seed)
+    labels = list(task.labels())
+    ys = [labels[j] for j in rng.integers(len(labels), size=n)]
+    cfg = TrainConfig(passes=passes, lam=0.1, spmp_iters=10, gap_oracle_iters=20, warm_start=warm_start,
+                      seed=seed, kernel=KernelSpec("gaussian", 0.5))
+    return (rng.normal(size=(n, 2)), ys), task, cfg
+
+
+def test_step_size_schedule():
+    for train in (gbcfw_train, m3n_train):
+        _check_block_steps(train)
+
+
+def _check_block_steps(train):
+    """Every block step of a seeded chain training moves its own block alone,
+    to (1 - gamma) mu_i + gamma d: m3n at exactly gamma_t = 2n / (t + 2n)
+    toward its loss-augmented vertex, m4n at the line search's gamma in
+    [0, 1] toward the oracle's point, with gamma_t among the candidates."""
+    data, task, cfg = _certified_setups()[1]
+    model, report, steps = _traced_steps(train, data, task, cfg)
+    n, Phi = model.n, model.embedded_labels()
+    assert len(steps) == cfg.passes * n
+    for t, (s, new) in enumerate(zip(steps, [s["mu"] for s in steps[1:]] + [model.dual_mu])):
+        i, old = s["i"], s["mu"]
+        gamma_t = 2.0 * n / (t + 2.0 * n)
+        if train is m3n_train:
+            assert "gamma" not in s
+            gamma, d = gamma_t, task.embed(task.decode(task.apply_loss_matrix(Phi[i]) + s["v"]))
+        else:
+            assert s["gamma_t"] == gamma_t and 0.0 <= s["gamma"] <= 1.0
+            gamma, d = s["gamma"], s["d"]
+        assert np.array_equal(new[i], (1.0 - gamma) * old[i] + gamma * d)
+        assert np.array_equal(np.delete(new, i, axis=0), np.delete(old, i, axis=0))
+    # each pass's record reports its steps
+    taken = [2.0 * n / (t + 2.0 * n) for t in range(len(steps))] if train is m3n_train else [s["gamma"] for s in steps]
+    for p, rec in enumerate(report.records):
+        assert rec["mean_step"] == pytest.approx(np.mean(taken[p * n:(p + 1) * n]), rel=1e-12)
+        assert rec["zero_steps"] == taken[p * n:(p + 1) * n].count(0.0)
+    if train is gbcfw_train:  # the search does move off the schedule
+        assert any(s["gamma"] != s["gamma_t"] for s in steps)
+
+
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("kind", ["multiclass", "ordinal", "chain", "ranking"])
+def test_m4n_dual_objective_never_falls_per_pass(kind, warm_start):
+    data, task, cfg = _tiny_setup(kind, warm_start, passes=8)
+    model, report = gbcfw_train(data, task, cfg)
+    # the untrained state sits at the observed labels, where w = 0
+    objs = [float(np.mean(task.bayes_risk(model.embedded_labels().T)))]
+    objs += [r["dual_objective"] for r in report.records]
+    assert all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(objs, objs[1:])), objs
+    assert objs[-1] > objs[0]
+
+
+def test_m4n_dual_objective_never_falls_per_block_step():
+    data, task, cfg = _tiny_setup("chain", warm_start=False, passes=6)
+    model, _, steps = _traced_steps(gbcfw_train, data, task, cfg)
+    K_gram = gram(model.xs, model.kernel)
+    objs = [dual_objective(model, K_gram, s["mu"]) for s in steps] + [dual_objective(model, K_gram, model.dual_mu)]
+    assert all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(objs, objs[1:]))
+    assert objs[-1] > objs[0]
+
+
+@pytest.mark.parametrize("kind", ["multiclass", "ordinal", "chain", "ranking"])
+def test_line_search_gain_is_the_dual_objective_change(kind):
+    # the search's n * Delta D at the gamma it picks equals n times the change
+    # of the dual objective recomputed from scratch: a wrong 1/(lambda n) or
+    # K_ii in its quadratic term moves every step with gamma > 0
+    data, task, cfg = _tiny_setup(kind)
+    model, _, steps = _traced_steps(gbcfw_train, data, task, cfg)
+    K_gram = gram(model.xs, model.kernel)
+    after = [s["mu"] for s in steps[1:]] + [model.dual_mu]
+    for s, new in zip(steps, after):
+        change = model.n * (dual_objective(model, K_gram, new) - dual_objective(model, K_gram, s["mu"]))
+        assert s["gain"] >= 0.0 and abs(s["gain"] - change) <= 1e-10
+    assert sum(s["gamma"] > 0.0 for s in steps) >= len(steps) // 2
 
 
 def _recorded_steps(monkeypatch, module):
