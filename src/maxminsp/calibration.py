@@ -4,9 +4,10 @@ Relates the excess surrogate risk delta_s(v, mu) of a score vector v at a
 conditional moment mu to the excess task risk delta_l of its decoded label.
 The calibration curve zeta(eps) = inf { delta_s : delta_l >= eps } is
 estimated by randomized search over score vectors and label mixtures, one
-path for every task of at most six labels, solved at the block updates'
-fixed step; the linear constant C (optimal labels carry probability at
-least 1/C) is each task's `constant_c`.
+path for every task of at most six labels, solved by the oracle's engine
+with adaptive steps and restarted averaging, as dual-gap certification
+is; the linear constant C (optimal labels carry probability at least 1/C)
+is each task's `constant_c`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import FIXED_STEP, spmp_solve_batch_simplex
+from .oracle import certified_gap, spmp_solve_batch_simplex
 from .tasks import RankingTask, Task
 
 __all__ = [
@@ -32,6 +33,9 @@ _SCALE = 2.0
 @dataclass
 class CalibrationEstimate:
     zeta_lower: dict[float, float]
+    # certified saddle gaps of the search rows at the engine's averaged pair
+    search_gap_mean: float
+    search_gap_max: float
     witnesses: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -53,7 +57,7 @@ def zeta_bruteforce(
     eps_grid: list[float],
     search_budget: int = 20000,
     seed: int = 0,
-    spmp_iters: int = 3000,
+    spmp_iters: int = 1000,
 ) -> CalibrationEstimate:
     """Randomized upper estimate of zeta(eps) with honest surrogate values.
 
@@ -68,9 +72,11 @@ def zeta_bruteforce(
     task takes the same path; tasks with more than six labels are rejected.
     delta_s = Omega*(v) - v.mu - bayes(mu); Omega*(v) is bounded from below
     by the inner minimum at the oracle's averaged max player.  One batched
-    oracle solve at `oracle.FIXED_STEP`, then one `bayes_risk` call on the
-    averaged players and one on the moments, shared by delta_s and delta_l,
-    cover every search row.
+    oracle solve at step=None (adaptive steps, restarted averaging), then
+    one `bayes_risk` call on the averaged players and one on the moments,
+    shared by delta_s and delta_l, cover every search row.  One
+    `certified_gap` call on the averaged pairs gives the search rows' mean
+    and largest saddle gap: a loose row can only lower an estimate.
     """
     if task.n_labels() > 6:
         raise ValueError("output space too large for brute-force calibration")
@@ -84,7 +90,8 @@ def zeta_bruteforce(
     # decoded label flips, the regime that pins the infimum
     V = np.vstack([V, rng.normal(size=(B // 2, k)) * (_SCALE / 4)])
     Mus = np.vstack([Mus, rng.dirichlet(0.5 * np.ones(n), size=B // 2) @ E])
-    mu_bars = spmp_solve_batch_simplex(V, task, spmp_iters, step=FIXED_STEP)[0]
+    mu_bars, nu_bars = spmp_solve_batch_simplex(V, task, spmp_iters, step=None)[:2]
+    gaps = certified_gap(mu_bars, nu_bars, V, task)
 
     def inner_min(Mu, bayes):
         # min_y F(phi(y), mu) = v.mu + min_y phi(y)^T A mu, row by row
@@ -95,7 +102,8 @@ def zeta_bruteforce(
     ds = inner_min(mu_bars, task.bayes_risk(np.ascontiguousarray(mu_bars.T))) - inner_min(Mus, bayes)
     dl = _excess_task_risk(task, np.ascontiguousarray(V.T), MusT, bayes)
 
-    estimate = CalibrationEstimate(zeta_lower={})
+    estimate = CalibrationEstimate(zeta_lower={}, search_gap_mean=float(gaps.mean()),
+                                   search_gap_max=float(gaps.max()))
     for eps in eps_grid:
         feasible = dl >= eps
         if not feasible.any():

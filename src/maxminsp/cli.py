@@ -317,7 +317,7 @@ _CALIB_SIZES = {"multiclass": {"k": "k"}, "ordinal": {"k": "k"},
 @click.option("--chain-r", default=2, show_default=True)
 @click.option("--rank-m", default=3, show_default=True)
 @click.option("--budget", default=20000, show_default=True, type=POSITIVE,
-              help="search size: 1.5 x budget score rows, each solved for 3000 oracle rounds")
+              help="search size: 1.5 x budget score rows, each solved for 1000 oracle rounds")
 @click.option("--seed", default=0, show_default=True, type=SEED)
 @click.option("--out", default="out", show_default=True, type=click.Path())
 def calib(task_kind, out, **options):
@@ -337,6 +337,7 @@ def calib(task_kind, out, **options):
         else:
             est = zeta_bruteforce(task, [0.1, 0.3, 0.5], search_budget=options["budget"], seed=options["seed"])
             rec["zeta_lower"] = {str(e): v for e, v in est.zeta_lower.items()}
+            rec["search_gap_mean"], rec["search_gap_max"] = est.search_gap_mean, est.search_gap_max
     except (ValueError, AssertionError) as exc:
         _fail(EXIT_PARSE, str(exc))
     _emit(Path(out), [rec], [])

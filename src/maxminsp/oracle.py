@@ -17,11 +17,12 @@ engine.  The polytope enters only through the task: `project_stack` and
 
 Every call runs one round loop, and callers name its step in worst-case
 steps 1/(2 l_spmp), the engine alone turning that into a rate.  Block
-updates and the calibration search pass step=FIXED_STEP on every
-polytope; dual-gap certification passes step=None and adapts: while
-some row's step is above the worst-case one, each round is checked
-against the local criterion, at one Bregman divergence per column, and
-redone at half the step for the rows that fail it.  Adaptive calls also
+updates, the one fixed-step caller, pass step=FIXED_STEP on every
+polytope; dual-gap certification and the calibration search pass
+step=None and adapt: while some row's step is above the worst-case one,
+each round is checked against the local criterion, at one Bregman
+divergence per column, and redone at half the step for the rows that
+fail it.  Adaptive calls also
 restart their average: a uniform average of K rounds converges like 1/K,
 and restarting from the average converges linearly on sharp bilinear
 problems over polytopes (Gilpin, Peña & Sandholm 2012; Applegate,
@@ -50,7 +51,7 @@ __all__ = [
 
 ADAPTIVE_START = 2.0 ** 10  # the first adaptive step, in worst-case steps
 RESTARTS = 4  # an adaptive call's equal segments, each restarted from the last one's average
-FIXED_STEP = 8.0  # the step of every fixed-step caller, in worst-case steps
+FIXED_STEP = 8.0  # the block updates' step, in worst-case steps
 
 
 @dataclass(frozen=True)

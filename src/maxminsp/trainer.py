@@ -8,7 +8,7 @@ block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
 Each m4n block update is one call of the oracle's engine,
 `spmp_solve_batch_simplex`, on one score vector at step=`oracle.FIXED_STEP`,
-as in the calibration search, from its last saddle iterates with warm
+its one fixed-step caller, from its last saddle iterates with warm
 starts, else uniform.  The block then moves to (1 - gamma) mu_i + gamma d,
 d the direction.  m3n takes the paper's gamma_t = 2n / (t + 2n).  m4n
 takes the best of `LINE_SEARCH` and gamma_t for the dual objective along

@@ -11,7 +11,7 @@ from maxminsp.calibration import (
     ranking_d_bound,
     zeta_bruteforce,
 )
-from maxminsp.oracle import spmp_solve
+from maxminsp.oracle import certified_gap, spmp_solve
 from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 
 
@@ -156,3 +156,27 @@ def test_zeta_batched_solve_matches_per_row_solves(monkeypatch, task, budget):
     assert batched.witnesses.keys() == looped.witnesses.keys()
     for e, (v, mu) in batched.witnesses.items():
         assert (v == looped.witnesses[e][0]).all() and (mu == looped.witnesses[e][1]).all()
+
+
+@pytest.mark.parametrize("task", [MulticlassTask(3), OrdinalTask(3), ChainTask(2, 2)], ids=lambda t: t.kind)
+def test_search_gaps_are_the_engine_pairs_certificates(monkeypatch, task):
+    # the estimate's search gaps are those of the engine call's averaged
+    # pairs, and restarted adaptive rounds hold their mean at 2e-5 at the
+    # default round budget (a fixed 8x step read 1.7e-4 to 8.4e-4 here)
+    calls = []
+    engine = calibration.spmp_solve_batch_simplex
+
+    def recording(V, task, K, *, step):
+        calls.append((V, engine(V, task, K, step=step)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(calibration, "spmp_solve_batch_simplex", recording)
+    for seed in (0, 1):
+        est = zeta_bruteforce(task, [0.1, 0.3], search_budget=200, seed=seed)
+        (V, (mu_bar, nu_bar, _, _)), = calls
+        calls.clear()
+        gaps = certified_gap(mu_bar, nu_bar, V, task)
+        assert len(gaps) == 300
+        assert est.search_gap_mean == float(gaps.mean())
+        assert est.search_gap_max == float(gaps.max())
+        assert 0 <= est.search_gap_mean <= 2e-5

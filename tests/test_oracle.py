@@ -277,7 +277,7 @@ def test_warm_start_speeds_repeat_solves():
 
 
 # ---------------------------------------------------------------------------
-# adaptive steps (certification)
+# adaptive steps (certification and the calibration search)
 
 
 def _points(t, rng, rows):

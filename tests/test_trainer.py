@@ -486,9 +486,9 @@ def _recorded_steps(monkeypatch, module):
 
 @pytest.mark.parametrize("task", [MulticlassTask(3), OrdinalTask(4), ChainTask(2, 2), RankingTask(3)],
                          ids=lambda t: t.kind)
-def test_fixed_step_callers_share_one_step(monkeypatch, task):
-    # block updates and the calibration search pass one step on every
-    # polytope; dual-gap certification alone adapts, from the worst-case step
+def test_block_updates_alone_take_the_fixed_step(monkeypatch, task):
+    # block updates pass one step on every polytope; dual-gap certification
+    # and the calibration search adapt, from ADAPTIVE_START worst-case steps
     if task.kind in ("multiclass", "ordinal"):
         # the simplices' earlier calibration step, bit for bit
         assert oracle.FIXED_STEP / (2 * task.l_spmp) == 4.0 / task.l_spmp
@@ -504,7 +504,7 @@ def test_fixed_step_callers_share_one_step(monkeypatch, task):
     if task.kind != "ranking":  # the Birkhoff search is too slow for tier-1
         search = _recorded_steps(monkeypatch, calibration)
         calibration.zeta_bruteforce(task, [0.1], search_budget=8, spmp_iters=5)
-        assert search == [oracle.FIXED_STEP]
+        assert search == [None]
 
 
 def test_fixed_block_step_beats_the_worst_case_step(monkeypatch):
