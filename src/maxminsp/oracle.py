@@ -28,6 +28,13 @@ and restarting from the average converges linearly on sharp bilinear
 problems over polytopes (Gilpin, Peña & Sandholm 2012; Applegate,
 Hinder, Lu & Lubin 2023).  The certificate is exact at any iterate, so
 steps and restarts move how tight a bound is, never whether it holds.
+A round that is not checked is a pure function of the iterate, the scores
+and the step, so once one returns its own start bit for bit, every round
+up to the next restart, or to the call's end, would repeat it: the engine
+stops projecting and adds that round's half-step point to its average
+once per round left, by the same addition, so every output keeps its
+bits.  Such points are rows pinned at a vertex, both players' other
+labels at PROB_FLOOR.
 `spmp_solve` is one engine call on one vector, at the worst-case step by
 default, plus its certificate.
 """
@@ -124,6 +131,18 @@ def spmp_solve_batch_simplex(
     previous one's averages.  A row's steps and restarts depend on that
     row alone.
 
+    Fixed points end a segment's work early.  A round that is not checked
+    (every fixed-step round, and an adaptive call's once every row is at
+    the worst-case step) reads only L, X, the scores and the step.  When
+    one returns (L, X) itself, `(L_new == L).all() and (X_new == X).all()`
+    over the whole stack, each later round of the segment would compute
+    the same half-step point and return (L, X) again, so the engine makes
+    no more projections: it adds that half-step point to the running sum
+    once per round left, the same `X_sum += X_half` as before, and the
+    average keeps its bits.  A restart clears the state.  (== equates 0.0
+    and -0.0, which a log-iterate carries only into sums and exp, where
+    they act alike; probabilities are at least PROB_FLOOR.)
+
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates (of the last segment, for adaptive calls) and the final
     full-step iterates, as C-contiguous (B, dim) stacks.  Serves every
@@ -141,51 +160,54 @@ def spmp_solve_batch_simplex(
     proj = task.project_stack
     if init is None:
         init = (task.uniform_state(),) * 2
+    # the floored warm start, written row by row: mu into rows :B, nu into rows B:
+    X = np.empty((2 * B, V.shape[1]))
     try:
-        X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init])
+        mu0, nu0 = init
+        np.maximum(mu0, PROB_FLOOR, out=X[:B])
+        np.maximum(nu0, PROB_FLOOR, out=X[B:])
     except ValueError:
         raise LayoutError(f"warm start does not fit the score stack {V.shape}") from None
     X = X.T.copy()
     task.check_state(X)
     L = np.log(X)
 
-    def gradient(G):
-        """The gradient map at a column stack, written into the buffer G."""
-        G_max, G_min = G[:, :B], G[:, B:]
-
-        def grad(X):
-            AX = apply_a(X)
-            np.add(AX[:, B:], VT, G_max)
-            np.negative(AX[:, :B], G_min)
-            return G
-
-        return grad
-
-    # the gradient at X is kept while a round is redone
-    grad_x, grad_y = gradient(np.empty_like(X)), gradient(np.empty_like(X))
+    # gradient buffers and their players' views: G_x at X, kept while a round
+    # is redone, and G_y at the half-step points
+    G_x, G_y = np.empty_like(X), np.empty_like(X)
+    Gx_max, Gx_min, Gy_max, Gy_min = G_x[:, :B], G_x[:, B:], G_y[:, :B], G_y[:, B:]
     # one rate per column while checking, a row's two players sharing it
     check = step is None
     rates = np.full(2 * B, rate * ADAPTIVE_START) if check else rate
     # adaptive calls restart at the end of each nonempty segment but the last
     ends = {K * j // RESTARTS for j in range(1, RESTARTS)} - {0} if check else set()
     start = 0
+    # set once an unchecked round returns its own start: the rounds left in
+    # the segment would repeat it, so they only add its half-step point
+    fixed = False
     X_sum = np.zeros_like(X)
     try:
         for it in range(K):
-            G_x = grad_x(X)
-            while True:
-                if check and not (rates > rate).any():
-                    check, rates = False, rate
-                L_half, X_half = proj(L, G_x, rates)
-                G_y = grad_y(X_half)
-                L_new, X_new = proj(L, G_y, rates)
-                if not check:
-                    break
-                redo = _rejected(task, rates, rate, G_y, (L, X), X_half, (L_new, X_new))
-                if not redo.any():
-                    break
-                rates[np.concatenate([redo, redo])] *= 0.5
-            L, X = L_new, X_new
+            if not fixed:
+                AX = apply_a(X)
+                np.add(AX[:, B:], VT, Gx_max)
+                np.negative(AX[:, :B], Gx_min)
+                while True:
+                    if check and not (rates > rate).any():
+                        check, rates = False, rate
+                    L_half, X_half = proj(L, G_x, rates)
+                    AX = apply_a(X_half)
+                    np.add(AX[:, B:], VT, Gy_max)
+                    np.negative(AX[:, :B], Gy_min)
+                    L_new, X_new = proj(L, G_y, rates)
+                    if not check:
+                        break
+                    redo = _rejected(task, rates, rate, G_y, (L, X), X_half, (L_new, X_new))
+                    if not redo.any():
+                        break
+                    rates[np.concatenate([redo, redo])] *= 0.5
+                fixed = not check and (L_new == L).all() and (X_new == X).all()
+                L, X = L_new, X_new
             X_sum += X_half
             if it + 1 in ends:
                 # restart from the segment's average, floored as init is, at fresh steps
@@ -193,7 +215,7 @@ def spmp_solve_batch_simplex(
                 X = np.maximum(X_sum, PROB_FLOOR)
                 L = np.log(X)
                 X_sum, start = np.zeros_like(X), it + 1
-                check, rates = True, np.full(2 * B, rate * ADAPTIVE_START)
+                check, rates, fixed = True, np.full(2 * B, rate * ADAPTIVE_START), False
     except SinkhornConvergenceError as exc:
         player = "max" if exc.row < B else "min"
         raise RuntimeError(f"projection failed at iteration {it} ({player} player): {exc}") from exc

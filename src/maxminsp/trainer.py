@@ -181,7 +181,9 @@ def _line_search(task: Task, mu_i: np.ndarray, d: np.ndarray, v_i: np.ndarray,
     """
     gammas = np.append(LINE_SEARCH, gamma_t)
     delta = d - mu_i
-    bayes = task.bayes_risk(np.outer(mu_i, 1.0 - gammas) + np.outer(d, gammas))
+    points = np.multiply.outer(mu_i, 1.0 - gammas)
+    points += np.multiply.outer(d, gammas)
+    bayes = task.bayes_risk(points)
     gains = bayes - bayes[0] + gammas * float(v_i @ delta) - gammas ** 2 * (0.5 * curvature * float(delta @ delta))
     j = int(np.argmax(gains))  # the first best: gamma = 0 unless a step gains
     return float(gammas[j]), float(gains[j])

@@ -539,3 +539,112 @@ def test_adaptive_ranking_certificate_beats_the_worst_case_step():
     fixed = certified_gap(*spmp_solve_batch_simplex(V, t, 50)[:2], V, t)
     adaptive = certified_gap(*spmp_solve_batch_simplex(V, t, 50, step=None)[:2], V, t)
     assert adaptive.mean() < 0.1 * fixed.mean()
+
+
+# ---------------------------------------------------------------------------
+# fixed points: unchecked rounds that return their own start are not repeated
+
+
+def _every_round(t, V, K, step, init=None, restarts=False):
+    """The engine's unchecked rounds on the (dim, 2B) column stack, none skipped.
+
+    Each round goes through the task's own loss_stack and project_stack at
+    the call's one rate.  With restarts, the rounds fall into the adaptive
+    schedule's segments (`_segments`), each started from the last one's
+    floored average.  Returns the engine's four outputs and, per round,
+    whether its full step returned its start bit for bit.
+    """
+    V = np.atleast_2d(V)
+    B, VT = len(V), np.ascontiguousarray(V.T)
+    rate = (step / (2.0 * t.l_spmp)) * t.r2
+    if init is None:
+        init = (t.uniform_state(),) * 2
+    X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init]).T.copy()
+    L = np.log(X)
+
+    def gradient(P):
+        AP = t.loss_stack(P)
+        return np.ascontiguousarray(np.concatenate([AP[:, B:] + VT, -AP[:, :B]], axis=1))
+
+    repeats = []
+    for n in _segments(K) if restarts else [K]:
+        X_sum = np.zeros_like(X)
+        for _ in range(n):
+            L_half, X_half = t.project_stack(L, gradient(X), rate)
+            L_new, X_new = t.project_stack(L, gradient(X_half), rate)
+            repeats.append(np.array_equal(L_new, L) and np.array_equal(X_new, X))
+            L, X = L_new, X_new
+            X_sum += X_half
+        X_sum /= n
+        X_last, X = X, np.maximum(X_sum, PROB_FLOOR)
+        L = np.log(X)
+    return (X_sum.T[:B], X_sum.T[B:], X_last.T[:B], X_last.T[B:]), repeats
+
+
+def _counted_projections(monkeypatch, t):
+    """Calls of the task's project_stack are counted, one entry each."""
+    calls = []
+    project_stack = type(t).project_stack
+
+    def counting(self, *args):
+        calls.append(1)
+        return project_stack(self, *args)
+
+    monkeypatch.setattr(type(t), "project_stack", counting)
+    return calls
+
+
+def _projections_until_repeat(repeats):
+    """Projections of unchecked rounds that stop at the first one returning its start."""
+    return 2 * (repeats.index(True) + 1 if True in repeats else len(repeats))
+
+
+@pytest.mark.parametrize("t, scale", [(MulticlassTask(3), 30.0), (OrdinalTask(5), 30.0),
+                                      (ChainTask(4, 3), 3.0), (RankingTask(3), 3.0)],
+                         ids=lambda x: getattr(x, "kind", str(x)))
+def test_fixed_step_rounds_equal_every_round_bit_for_bit(monkeypatch, t, scale):
+    # block updates' shape: one row, K=20, a cold call then five warm ones,
+    # each from the last call's final iterates, and the whole stack cold;
+    # multiclass and ordinal rows at scale 30 pin at a vertex, where a call
+    # stops projecting at its first repeated round
+    V = np.random.default_rng(16).normal(size=(4, t.embed_dim)) * scale
+    K, step = 20, oracle.FIXED_STEP
+    calls = _counted_projections(monkeypatch, t)
+    pinned = []  # per call sequence: whether some call repeated a round
+    for rows in [*V[:, None], V]:
+        init, repeated = None, False
+        for _ in range(6 if len(rows) == 1 else 1):
+            want, repeats = _every_round(t, rows, K, step, init)
+            del calls[:]
+            got = spmp_solve_batch_simplex(rows, t, K, step=step, init=init)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert len(calls) == _projections_until_repeat(repeats)
+            repeated |= True in repeats
+            init = got[2], got[3]
+        pinned.append(repeated)
+    # every row pins at scale 30; chain rows never repeat, so project 2K times a call
+    if scale == 30.0:
+        assert all(pinned[:-1])
+    if t.kind == "chain":
+        assert not any(pinned)
+
+
+def test_fixed_point_ends_at_a_restart(monkeypatch):
+    # an adaptive call forced to the worst-case step, on rows warm started
+    # at a vertex: each segment's first round is redone down to that step,
+    # its next one repeats, and the skip ends with the segment; K=40
+    t = MulticlassTask(3)
+    monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
+    V = np.random.default_rng(17).normal(size=(4, 3)) * 30.0
+    pinned = spmp_solve_batch_simplex(V, t, 20, step=oracle.FIXED_STEP)
+    init = pinned[2], pinned[3]
+    want, repeats = _every_round(t, V, 40, 1.0, init, restarts=True)
+    calls = _counted_projections(monkeypatch, t)
+    got = spmp_solve_batch_simplex(V, t, 40, step=None, init=init)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # per segment of 10 rounds: 11 tries of the first round, then rounds up to its first repeat
+    segments = [repeats[10 * s:10 * s + 10] for s in range(4)]
+    assert all(True in seg[:-1] for seg in segments)
+    assert len(calls) == sum(2 * 10 + _projections_until_repeat(seg) for seg in segments)
