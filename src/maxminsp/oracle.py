@@ -5,9 +5,9 @@ mirror steps and certifies the duality gap exactly with one call each to
 the task's max oracle and Bayes term (`certified_gap`, over one vector or
 a stack).  One engine, `spmp_solve_batch_simplex`, serves every task and
 batch size, and every caller enters through it: it solves a (B, dim) stack
-of score vectors at once, keeping both players, which share the polytope,
-as one C-contiguous (dim, 2B) column stack, so each half-step is one
-apply-A and one projection call on it.  The projections pass log-iterates
+of score vectors at once, keeping both players of its active rows, which
+share the polytope, in one C-contiguous column stack, so each half-step is
+one apply-A and one projection call on it.  The projections pass log-iterates
 on, so the engine takes one log per call.  One layout rule (see `tasks`):
 Task methods take column stacks, and this module's functions keep (B, dim)
 rows, each transposing once inside, so the column stack never leaves the
@@ -19,22 +19,23 @@ Every call runs one round loop, and callers name its step in worst-case
 steps 1/(2 l_spmp), the engine alone turning that into a rate.  Block
 updates, the one fixed-step caller, pass step=FIXED_STEP on every
 polytope; dual-gap certification and the calibration search pass
-step=None and adapt: while some row's step is above the worst-case one,
-each round is checked against the local criterion, at one Bregman
+step=None and adapt: while some active row's step is above the worst-case
+one, each round is checked against the local criterion, at one Bregman
 divergence per column, and redone at half the step for the rows that
-fail it.  Adaptive calls also
+fail it, projecting those rows alone.  Adaptive calls also
 restart their average: a uniform average of K rounds converges like 1/K,
 and restarting from the average converges linearly on sharp bilinear
 problems over polytopes (Gilpin, Peña & Sandholm 2012; Applegate,
 Hinder, Lu & Lubin 2023).  The certificate is exact at any iterate, so
 steps and restarts move how tight a bound is, never whether it holds.
-A round that is not checked is a pure function of the iterate, the scores
-and the step, so once one returns its own start bit for bit, every round
-up to the next restart, or to the call's end, would repeat it: the engine
-stops projecting and adds that round's half-step point to its average
-once per round left, by the same addition, so every output keeps its
-bits.  Such points are rows pinned at a vertex, both players' other
-labels at PROB_FLOOR.
+Rows are independent, and a row's round is a pure function of its
+iterate, its scores and its step, which changes only when the row fails
+the criterion.  So once an accepted round, checked or not, returns a
+row's own start bit for bit, every round of that row up to the next
+restart, or to the call's end, would repeat it: the row leaves the stack
+and its half-step point is added to its average once per round left, by
+the same addition, so every output keeps its bits.  Such points are rows
+pinned at a vertex, both players' other labels at PROB_FLOOR.
 `spmp_solve` is one engine call on one vector, at the worst-case step by
 default, plus its certificate.
 """
@@ -114,12 +115,13 @@ def spmp_solve_batch_simplex(
     match a mirror map normalized to strong convexity 1.  A float fixes
     every row's step for the call, and such calls never check.  None
     adapts: each row starts at ADAPTIVE_START worst-case steps and, while
-    some row is above the worst-case step, a round is redone with the step
-    halved for every row that fails Nemirovski's local criterion (see
-    `_rejected`).  The worst-case step is always accepted, so steps never
-    fall below it and never grow, and once every row is there the call
-    checks no more.  The check reuses the projections' log-iterates and
-    makes no projection of its own.
+    some active row is above the worst-case step, a round is checked
+    against Nemirovski's local criterion (see `_rejected`) and redone with
+    the step halved for the rows that fail it, projecting those rows alone
+    and reusing their gradient at X.  The worst-case step is always
+    accepted, so steps never fall below it and never grow.  The check
+    reuses the projections' log-iterates and makes no projection of its
+    own.
 
     Adaptive calls alone restart.  Their K rounds fall into RESTARTS equal
     segments, ending at rounds K*j // RESTARTS for j = 1 .. RESTARTS-1,
@@ -131,17 +133,21 @@ def spmp_solve_batch_simplex(
     previous one's averages.  A row's steps and restarts depend on that
     row alone.
 
-    Fixed points end a segment's work early.  A round that is not checked
-    (every fixed-step round, and an adaptive call's once every row is at
-    the worst-case step) reads only L, X, the scores and the step.  When
-    one returns (L, X) itself, `(L_new == L).all() and (X_new == X).all()`
-    over the whole stack, each later round of the segment would compute
-    the same half-step point and return (L, X) again, so the engine makes
-    no more projections: it adds that half-step point to the running sum
-    once per round left, the same `X_sum += X_half` as before, and the
-    average keeps its bits.  A restart clears the state.  (== equates 0.0
-    and -0.0, which a log-iterate carries only into sums and exp, where
-    they act alike; probabilities are at least PROB_FLOOR.)
+    Fixed points end a row's work early.  A row's round reads only that
+    row's L, X, scores and step, and its step changes only when the row
+    fails the criterion.  So once an accepted round, checked or not,
+    returns the row's own (L, X) bit for bit, each later round of the
+    segment would compute the same half-step point and return (L, X)
+    again: the row leaves the active stack, which is gathered into a
+    smaller C-contiguous stack, and its half-step point is added to its
+    running sum once per round left, the same `+=` as before, so the
+    average keeps its bits.  When every active row repeats at once (on one
+    row, the stack is tested whole), the stack stays as it is and is only
+    summed.  A restart brings every row back.  Projections and A act on
+    each column alone, bit for bit on any column subset, so which rows
+    share a stack moves no bits.
+    (== equates 0.0 and -0.0, which a log-iterate carries only into sums
+    and exp, where they act alike; probabilities are at least PROB_FLOOR.)
 
     Returns (mu_bar, nu_bar, mu_last, nu_last), the averaged half-step
     iterates (of the last segment, for adaptive calls) and the final
@@ -172,56 +178,117 @@ def spmp_solve_batch_simplex(
     task.check_state(X)
     L = np.log(X)
 
-    # gradient buffers and their players' views: G_x at X, kept while a round
-    # is redone, and G_y at the half-step points
-    G_x, G_y = np.empty_like(X), np.empty_like(X)
-    Gx_max, Gx_min, Gy_max, Gy_min = G_x[:, :B], G_x[:, B:], G_y[:, :B], G_y[:, B:]
+    # the active stack of b rows: its columns' places in the full stack
+    # (None while it is the full stack), scores, and gradient buffers with
+    # their players' views, G_x at X, kept while rows are redone, and G_y at
+    # the half-step points
+    b, cols, VT_all = B, None, VT
+    full = G_x, G_y, Gx_max, Gx_min, Gy_max, Gy_min = _gradient_buffers(X)
     # one rate per column while checking, a row's two players sharing it
     check = step is None
     rates = np.full(2 * B, rate * ADAPTIVE_START) if check else rate
     # adaptive calls restart at the end of each nonempty segment but the last
     ends = {K * j // RESTARTS for j in range(1, RESTARTS)} - {0} if check else set()
     start = 0
-    # set once an unchecked round returns its own start: the rounds left in
-    # the segment would repeat it, so they only add its half-step point
-    fixed = False
+    # set once every active row sits at its own fixed point: the rounds left
+    # in the segment only add the half-step points
+    frozen = False
+    # rows that left the stack: their columns' places, half-step points,
+    # running sums and last iterates
+    out = None
     X_sum = np.zeros_like(X)
+    sub = None  # the columns of the active stack a redo projects
     try:
         for it in range(K):
-            if not fixed:
+            left = None
+            if not frozen:
                 AX = apply_a(X)
-                np.add(AX[:, B:], VT, Gx_max)
-                np.negative(AX[:, :B], Gx_min)
-                while True:
-                    if check and not (rates > rate).any():
-                        check, rates = False, rate
-                    L_half, X_half = proj(L, G_x, rates)
-                    AX = apply_a(X_half)
-                    np.add(AX[:, B:], VT, Gy_max)
-                    np.negative(AX[:, :B], Gy_min)
-                    L_new, X_new = proj(L, G_y, rates)
-                    if not check:
-                        break
-                    redo = _rejected(task, rates, rate, G_y, (L, X), X_half, (L_new, X_new))
-                    if not redo.any():
-                        break
-                    rates[np.concatenate([redo, redo])] *= 0.5
-                fixed = not check and (L_new == L).all() and (X_new == X).all()
+                np.add(AX[:, b:], VT, Gx_max)
+                np.negative(AX[:, :b], Gx_min)
+                if check and rates.max() <= rate:
+                    check, rates = False, rate
+                X_half = proj(L, G_x, rates)[1]
+                AX = apply_a(X_half)
+                np.add(AX[:, b:], VT, Gy_max)
+                np.negative(AX[:, :b], Gy_min)
+                L_new, X_new = proj(L, G_y, rates)
+                if check:
+                    redo = _rejected(task, rates, rate, G_y, (L, X), X_half, (L_new, X_new)).nonzero()[0]
+                    while redo.size:
+                        # the failing rows alone, at half their step, from their gradient at X
+                        sub = np.concatenate([redo, redo + b])
+                        rates[sub] = r = rates[sub] * 0.5
+                        L_s, X_s = L.take(sub, axis=1), X.take(sub, axis=1)
+                        Y = proj(L_s, G_x.take(sub, axis=1), r)[1]
+                        AY = apply_a(Y)
+                        G_s = np.concatenate([AY[:, redo.size:] + VT.take(redo, axis=1), -AY[:, :redo.size]], axis=1)
+                        new_s = proj(L_s, G_s, r)
+                        X_half[:, sub], L_new[:, sub], X_new[:, sub] = Y, *new_s
+                        redo = redo[_rejected(task, r, rate, G_s, (L_s, X_s), Y, new_s)] if r.max() > rate else redo[:0]
+                    sub = None
+                if b == 1:
+                    frozen = (L_new == L).all() and (X_new == X).all()
+                else:
+                    same = (X_new == X).all(axis=0)
+                    if same.any():
+                        same &= (L_new == L).all(axis=0)
+                        same = same[:b] & same[b:]
+                        frozen = same.all()
+                        if not frozen and same.any():
+                            left = same
                 L, X = L_new, X_new
             X_sum += X_half
+            if out is not None:
+                out[2] += out[1]
+            if left is not None:
+                # the rows at their fixed points leave; the rest are gathered
+                keep, gone = np.flatnonzero(~left), np.flatnonzero(left)
+                keep, gone = np.concatenate([keep, keep + b]), np.concatenate([gone, gone + b])
+                places = np.arange(2 * B) if cols is None else cols
+                leaving = [places[gone], *(A.take(gone, axis=1) for A in (X_half, X_sum, X))]
+                out = leaving if out is None else [np.concatenate(pair, axis=-1) for pair in zip(out, leaving)]
+                cols, b = places[keep], len(keep) // 2
+                L, X, X_sum = (A.take(keep, axis=1) for A in (L, X, X_sum))
+                VT = VT_all.take(cols[:b], axis=1)
+                if check:
+                    rates = rates[keep]
+                G_x, G_y, Gx_max, Gx_min, Gy_max, Gy_min = _gradient_buffers(X)
             if it + 1 in ends:
-                # restart from the segment's average, floored as init is, at fresh steps
+                # restart every row from the segment's average, floored as init is, at fresh steps
+                if cols is not None:
+                    X_sum = _scatter(X_sum, cols, out[0], out[2])
+                    b, cols, VT, out = B, None, VT_all, None
+                    G_x, G_y, Gx_max, Gx_min, Gy_max, Gy_min = full
                 X_sum /= it + 1 - start
                 X = np.maximum(X_sum, PROB_FLOOR)
                 L = np.log(X)
                 X_sum, start = np.zeros_like(X), it + 1
-                check, rates, fixed = True, np.full(2 * B, rate * ADAPTIVE_START), False
+                check, rates, frozen = True, np.full(2 * B, rate * ADAPTIVE_START), False
     except SinkhornConvergenceError as exc:
-        player = "max" if exc.row < B else "min"
-        raise RuntimeError(f"projection failed at iteration {it} ({player} player): {exc}") from exc
+        col = exc.row if sub is None else sub[exc.row]
+        col = col if cols is None else cols[col]
+        player, row = ("max", col) if col < B else ("min", col - B)
+        raise RuntimeError(f"projection failed at iteration {it} ({player} player, row {row}): {exc}") from exc
+    if cols is not None:
+        X_sum, X = _scatter(X_sum, cols, out[0], out[2]), _scatter(X, cols, out[0], out[3])
     X_sum /= K - start
     X_bar, X = X_sum.T.copy(), X.T.copy()
     return X_bar[:B], X_bar[B:], X[:B], X[B:]
+
+
+def _gradient_buffers(X: np.ndarray) -> tuple:
+    """Gradient buffers shaped as the (dim, 2b) stack X, and their players' views."""
+    G_x, G_y = np.empty_like(X), np.empty_like(X)
+    b = X.shape[1] // 2
+    return G_x, G_y, G_x[:, :b], G_x[:, b:], G_y[:, :b], G_y[:, b:]
+
+
+def _scatter(active: np.ndarray, cols: np.ndarray, out_cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The full column stack from the active stack's columns and those of the rows that left."""
+    stack = np.empty((len(active), len(cols) + len(out_cols)))
+    stack[:, cols] = active
+    stack[:, out_cols] = out
+    return stack
 
 
 # error of one divergence entry: the floor moves a probability by up to

@@ -563,6 +563,36 @@ def test_adaptive_stack_equals_row_calls(task):
                 assert np.array_equal(got[b], row[0])
 
 
+@pytest.mark.parametrize(
+    "task", [MulticlassTask(3), OrdinalTask(3), OrdinalTask(5), ChainTask(4, 3), RankingTask(3),
+             RankingTask(4)],
+    ids=lambda t: f"{t.kind}{t.embed_dim}",
+)
+def test_column_subsets_keep_their_bits(task):
+    # the engine gathers the rows it still projects into a smaller stack
+    # with take, so A and the projection on any column subset must equal
+    # the full stack's columns bit for bit: ordinal's A is a gemm, whose
+    # blocking could depend on the stack's width.  Points inside the
+    # polytope and at its floored vertices, at a per-column rate and one rate
+    rng = np.random.default_rng(33)
+    n = 40
+    vertices = np.stack([task.embed(y) for y in task.labels()])[rng.integers(task.n_labels(), size=n // 4)]
+    X = columns(np.maximum(np.vstack([interior_points(task, rng, n - n // 4), vertices]), PROB_FLOOR))
+    L = np.log(X)
+    G = columns(rng.normal(size=(n, task.embed_dim)) * rng.choice([0.3, 3.0, 30.0], size=(n, 1)))
+    rates = 0.5 ** rng.integers(0, 11, size=n)
+    full_a = task.loss_stack(X)
+    full_p = [task.project_stack(L, G, eta) for eta in (rates, 0.25)]
+    for size in [2, 3, 5, 8, 13, 21, 34, n - 1, n]:
+        for _ in range(3):
+            idx = np.sort(rng.choice(n, size=size, replace=False))
+            assert np.array_equal(task.loss_stack(X.take(idx, axis=1)), full_a[:, idx])
+            for eta, full in zip((rates[idx], 0.25), full_p):
+                sub = task.project_stack(L.take(idx, axis=1), G.take(idx, axis=1), eta)
+                for got, want in zip(sub, full):
+                    assert np.array_equal(got, want[:, idx])
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(task=st.sampled_from(ENGINE_TASKS), rows=st.integers(1, 4), K=st.integers(1, 80),
        scale=st.sampled_from([0.3, 3.0, 30.0]), warm=st.booleans(), seed=seeds)

@@ -7,7 +7,7 @@ from maxminsp.oracle import (
     spmp_solve,
     spmp_solve_batch_simplex,
 )
-from maxminsp.projections import PROB_FLOOR, project
+from maxminsp.projections import PROB_FLOOR, SinkhornConvergenceError, project
 from maxminsp.tasks import (
     ChainTask,
     LayoutError,
@@ -325,39 +325,58 @@ def test_bregman_matches_direct_divergence(t):
 
 def _recorded_events(monkeypatch, t):
     """Calls of the task's project_stack and loss_stack are recorded in order:
-    each projection's eta per column, and None for each apply of A."""
+    ("project", G, eta per column) for each projection and ("apply", A X)
+    for each apply of A."""
     events = []
     project_stack, loss_stack = type(t).project_stack, type(t).loss_stack
 
     def projecting(self, L, G, eta):
-        events.append(np.broadcast_to(eta, L.shape[1:]).copy())
+        events.append(("project", G.copy(), np.broadcast_to(eta, L.shape[1:]).copy()))
         return project_stack(self, L, G, eta)
 
     def applying(self, X):
-        events.append(None)
-        return loss_stack(self, X)
+        AX = loss_stack(self, X)
+        events.append(("apply", AX.copy()))
+        return AX
 
     monkeypatch.setattr(type(t), "project_stack", projecting)
     monkeypatch.setattr(type(t), "loss_stack", applying)
     return events
 
 
-def _rounds(events):
-    """The engine's rounds in recorded events, each an array of its tries' etas.
+def _rounds(events, V):
+    """The engine's rounds in recorded events, each a list of its tries as
+    (rows of V, eta per column) pairs.
 
-    A round applies A at its start X, then makes one try of three calls
-    (project, apply A, project at the same eta) and one more per redo.
+    A round applies A at its active stack's start X, then makes one try of
+    three calls (project, apply A, project at the same eta) on the whole
+    active stack and one more per redo, on the rows that failed.  A first
+    try's max-player gradient is A nu + v, so its rows are the rows of V
+    nearest to it less A nu; a redo gathers its gradient columns from the
+    first try's, so its rows are found by equality.  A round in which
+    every active row sits at its fixed point makes no call and is missed.
     """
     rounds, i = [], 0
     while i < len(events):
-        assert events[i] is None
-        i, tries = i + 1, []
-        while i < len(events) and events[i] is not None:
-            half, apply, full = events[i:i + 3]
-            assert apply is None and np.array_equal(half, full)
-            tries.append(half)
+        assert events[i][0] == "apply"
+        AX, i, tries = events[i][1], i + 1, []
+        while i < len(events) and events[i][0] == "project":
+            (_, G, eta), (apply, _), (project, _, eta_full) = events[i:i + 3]
+            assert apply == "apply" and project == "project" and np.array_equal(eta, eta_full)
+            b = G.shape[1] // 2
+            if not tries:
+                v = G[:, :b] - AX[:, b:]
+                rows = np.argmin(np.abs(v.T[:, None] - V[None]).max(axis=2), axis=1)
+                assert np.allclose(V[rows].T, v, rtol=1e-12, atol=1e-12)
+                first, first_rows = G, rows
+            else:
+                b0 = len(first_rows)
+                pos = np.array([np.flatnonzero((first[:, :b0] == G[:, [j]]).all(axis=0))[0] for j in range(b)])
+                assert np.array_equal(G[:, b:], first[:, b0 + pos])
+                rows = first_rows[pos]
+            tries.append((rows, eta))
             i += 3
-        rounds.append(np.array(tries))
+        rounds.append(tries)
     return rounds
 
 
@@ -367,27 +386,32 @@ def _rounds(events):
 ], ids=lambda x: getattr(x, "kind", str(x)))
 def test_adaptive_steps_never_fall_below_the_worst_case_step(monkeypatch, t, scale):
     # 64 random rows; on chains some fail the criterion even at the
-    # worst-case step, which is accepted, so every round ends
+    # worst-case step, which is accepted, so every round ends.  Rows leave
+    # the stack at their fixed points and redos project the failing rows
+    # alone, so each try's steps are read per row
     V = np.random.default_rng(3).normal(size=(64, t.embed_dim)) * scale
     events = _recorded_events(monkeypatch, t)
     K = 40
     out = spmp_solve_batch_simplex(V, t, K, step=None)
-    rounds = _rounds(events)
+    rounds = _rounds(events, V)
     # projection rates are steps times the entropy range
     worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
     assert len(rounds) == K
-    steps = np.concatenate(rounds) / worst
-    assert steps.shape[1] == 128
-    # each column's step is a power of two from 2**10 down to 1, shared by
-    # the row's two players; within a segment it never grows, and each of
-    # the four segments of 10 rounds starts at ADAPTIVE_START
-    assert np.all(steps >= 1.0) and np.all(steps <= 2.0 ** 10)
-    assert np.array_equal(np.exp2(np.round(np.log2(steps))), steps)
-    assert np.array_equal(steps[:, :64], steps[:, 64:])
+    # each row's step is a power of two from 2**10 down to 1, shared by its
+    # two players; within a segment it never grows, and each of the four
+    # segments of 10 rounds starts every row at ADAPTIVE_START
     for seg in range(4):
-        seg_steps = np.concatenate(rounds[10 * seg:10 * seg + 10]) / worst
-        assert np.all(np.diff(seg_steps, axis=0) <= 0)
-        assert np.all(seg_steps[0] == oracle.ADAPTIVE_START)
+        last = np.full(64, np.inf)
+        for n, tries in enumerate(rounds[10 * seg:10 * seg + 10]):
+            for j, (rows, eta) in enumerate(tries):
+                steps = eta / worst
+                assert np.all(steps >= 1.0) and np.all(steps <= 2.0 ** 10)
+                assert np.array_equal(np.exp2(np.round(np.log2(steps))), steps)
+                assert np.array_equal(steps[:len(rows)], steps[len(rows):])
+                assert np.all(steps[:len(rows)] <= last[rows])
+                last[rows] = steps[:len(rows)]
+                if n == j == 0:
+                    assert np.array_equal(rows, np.arange(64)) and np.all(steps == oracle.ADAPTIVE_START)
     for x in out:
         t.check_state(x.T)
 
@@ -399,9 +423,14 @@ def test_adaptive_steps_stop_at_the_worst_case_step(monkeypatch):
     t = ChainTask(3, 2)
     monkeypatch.setattr(oracle, "_FLOOR_SLACK", -np.inf)
     events = _recorded_events(monkeypatch, t)
-    spmp_solve_batch_simplex(np.zeros((3, t.embed_dim)), t, 2, step=None)
-    steps = [list(r[:, 0] / ((1.0 / (2.0 * t.l_spmp)) * t.r2)) for r in _rounds(events)]
-    assert steps == 2 * [[2.0 ** (10 - j) for j in range(11)]]
+    V = np.random.default_rng(2).normal(size=(3, t.embed_dim))
+    spmp_solve_batch_simplex(V, t, 2, step=None)
+    worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
+    rounds = _rounds(events, V)
+    assert len(rounds) == 2
+    for tries in rounds:
+        assert [list(rows) for rows, _ in tries] == 11 * [[0, 1, 2]]
+        assert [list(eta / worst) for _, eta in tries] == [6 * [2.0 ** (10 - j)] for j in range(11)]
 
 
 def _counted_bregman(monkeypatch, t):
@@ -542,21 +571,30 @@ def test_adaptive_ranking_certificate_beats_the_worst_case_step():
 
 
 # ---------------------------------------------------------------------------
-# fixed points: unchecked rounds that return their own start are not repeated
+# fixed points and redos, row by row: a row that returns its own start
+# leaves the stack, and a redo projects the rows that failed
 
 
-def _every_round(t, V, K, step, init=None, restarts=False):
-    """The engine's unchecked rounds on the (dim, 2B) column stack, none skipped.
+def _every_round(t, V, K, step, init=None):
+    """The engine's rounds on the full (dim, 2B) column stack: no round
+    skipped and every try on every column.
 
-    Each round goes through the task's own loss_stack and project_stack at
-    the call's one rate.  With restarts, the rounds fall into the adaptive
-    schedule's segments (`_segments`), each started from the last one's
-    floored average.  Returns the engine's four outputs and, per round,
-    whether its full step returned its start bit for bit.
+    Each try goes through the task's own loss_stack and project_stack.  A
+    float step fixes one rate for all K rounds.  step=None adapts: each
+    row starts at ADAPTIVE_START worst-case steps, a try is checked by
+    `oracle._rejected` while some row is above the worst-case step, and
+    the whole stack is tried again with the failing rows' steps halved; the
+    rounds fall into the restart schedule's segments (`_segments`), each
+    started from the last one's floored average at fresh steps.  Returns
+    the engine's four outputs and its segments, each a list of rounds:
+    the round's start L, which rows returned their start, and the tries a
+    row-local engine makes, as (rows, eta per column) pairs.  Those project
+    the rows that have not yet repeated in the segment, then, in each
+    redo, the rows that failed the try before.
     """
     V = np.atleast_2d(V)
     B, VT = len(V), np.ascontiguousarray(V.T)
-    rate = (step / (2.0 * t.l_spmp)) * t.r2
+    worst = (1.0 / (2.0 * t.l_spmp)) * t.r2
     if init is None:
         init = (t.uniform_state(),) * 2
     X = np.concatenate([np.broadcast_to(np.maximum(x, PROB_FLOOR), V.shape) for x in init]).T.copy()
@@ -566,37 +604,76 @@ def _every_round(t, V, K, step, init=None, restarts=False):
         AP = t.loss_stack(P)
         return np.ascontiguousarray(np.concatenate([AP[:, B:] + VT, -AP[:, :B]], axis=1))
 
-    repeats = []
-    for n in _segments(K) if restarts else [K]:
+    segments = []
+    for n in [K] if step else _segments(K):
         X_sum = np.zeros_like(X)
+        rates = np.full(2 * B, worst * (step or oracle.ADAPTIVE_START))
+        pinned, rounds = np.zeros(B, dtype=bool), []
         for _ in range(n):
-            L_half, X_half = t.project_stack(L, gradient(X), rate)
-            L_new, X_new = t.project_stack(L, gradient(X_half), rate)
-            repeats.append(np.array_equal(L_new, L) and np.array_equal(X_new, X))
+            G_x, rows, tries = gradient(X), np.flatnonzero(~pinned), []
+            while True:
+                if rows.size:
+                    tries.append((rows, rates[np.concatenate([rows, rows + B])]))
+                X_half = t.project_stack(L, G_x, rates)[1]
+                G_y = gradient(X_half)
+                L_new, X_new = t.project_stack(L, G_y, rates)
+                if step or not (rates > worst).any():
+                    break
+                failed = oracle._rejected(t, rates, worst, G_y, (L, X), X_half, (L_new, X_new))
+                if not failed.any():
+                    break
+                rates[np.concatenate([failed, failed])] *= 0.5
+                rows = np.flatnonzero(failed)
+            same = (L_new == L).all(axis=0) & (X_new == X).all(axis=0)
+            rounds.append((L, same[:B] & same[B:], tries))
+            pinned |= same[:B] & same[B:]
             L, X = L_new, X_new
             X_sum += X_half
+        segments.append(rounds)
         X_sum /= n
         X_last, X = X, np.maximum(X_sum, PROB_FLOOR)
         L = np.log(X)
-    return (X_sum.T[:B], X_sum.T[B:], X_last.T[:B], X_last.T[B:]), repeats
+    return (X_sum.T[:B], X_sum.T[B:], X_last.T[:B], X_last.T[B:]), segments
 
 
-def _counted_projections(monkeypatch, t):
-    """Calls of the task's project_stack are counted, one entry each."""
+def _recorded_projections(monkeypatch, t):
+    """Calls of the task's project_stack are recorded in order, as (L, eta per column)."""
     calls = []
     project_stack = type(t).project_stack
 
-    def counting(self, *args):
-        calls.append(1)
-        return project_stack(self, *args)
+    def recording(self, L, G, eta):
+        calls.append((L.copy(), np.broadcast_to(eta, L.shape[1:]).copy()))
+        return project_stack(self, L, G, eta)
 
-    monkeypatch.setattr(type(t), "project_stack", counting)
+    monkeypatch.setattr(type(t), "project_stack", recording)
     return calls
 
 
-def _projections_until_repeat(repeats):
-    """Projections of unchecked rounds that stop at the first one returning its start."""
-    return 2 * (repeats.index(True) + 1 if True in repeats else len(repeats))
+def _assert_row_local(calls, segments, B):
+    """The engine made two projections per try of the reference, each of
+    the try's rows alone, from the round's start at the try's rates.
+
+    Returns each row's projected columns, checked against its own count:
+    per segment, two per round up to its first repeat and two per redo
+    try.  A round in which every row has repeated projects nothing.
+    """
+    tries = [(L, rows, eta) for rounds in segments for L, _, round_tries in rounds for rows, eta in round_tries]
+    assert len(calls) == 2 * len(tries)
+    per_row = np.zeros(B, dtype=int)
+    for (L, eta), (L_start, rows, eta_want) in zip(calls, [x for x in tries for _ in (0, 1)]):
+        assert np.array_equal(L, L_start[:, np.concatenate([rows, rows + B])])
+        assert np.array_equal(eta, eta_want)
+        per_row[rows] += 1
+    own = np.zeros(B, dtype=int)
+    for rounds in segments:
+        repeats = np.array([r for _, r, _ in rounds])
+        first = np.where(repeats.any(axis=0), repeats.argmax(axis=0), len(rounds) - 1)
+        own += 2 * (first + 1)
+        for _, _, round_tries in rounds:
+            for rows, _ in round_tries[1:]:
+                own[rows] += 2
+    assert np.array_equal(per_row, own)
+    return per_row
 
 
 @pytest.mark.parametrize("t, scale", [(MulticlassTask(3), 30.0), (OrdinalTask(5), 30.0),
@@ -605,22 +682,22 @@ def _projections_until_repeat(repeats):
 def test_fixed_step_rounds_equal_every_round_bit_for_bit(monkeypatch, t, scale):
     # block updates' shape: one row, K=20, a cold call then five warm ones,
     # each from the last call's final iterates, and the whole stack cold;
-    # multiclass and ordinal rows at scale 30 pin at a vertex, where a call
+    # multiclass and ordinal rows at scale 30 pin at a vertex, where a row
     # stops projecting at its first repeated round
     V = np.random.default_rng(16).normal(size=(4, t.embed_dim)) * scale
     K, step = 20, oracle.FIXED_STEP
-    calls = _counted_projections(monkeypatch, t)
+    calls = _recorded_projections(monkeypatch, t)
     pinned = []  # per call sequence: whether some call repeated a round
     for rows in [*V[:, None], V]:
         init, repeated = None, False
         for _ in range(6 if len(rows) == 1 else 1):
-            want, repeats = _every_round(t, rows, K, step, init)
+            want, segments = _every_round(t, rows, K, step, init)
             del calls[:]
             got = spmp_solve_batch_simplex(rows, t, K, step=step, init=init)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-            assert len(calls) == _projections_until_repeat(repeats)
-            repeated |= True in repeats
+            _assert_row_local(calls, segments, len(rows))
+            repeated |= any(r.any() for _, r, _ in segments[0])
             init = got[2], got[3]
         pinned.append(repeated)
     # every row pins at scale 30; chain rows never repeat, so project 2K times a call
@@ -639,12 +716,72 @@ def test_fixed_point_ends_at_a_restart(monkeypatch):
     V = np.random.default_rng(17).normal(size=(4, 3)) * 30.0
     pinned = spmp_solve_batch_simplex(V, t, 20, step=oracle.FIXED_STEP)
     init = pinned[2], pinned[3]
-    want, repeats = _every_round(t, V, 40, 1.0, init, restarts=True)
-    calls = _counted_projections(monkeypatch, t)
+    want, segments = _every_round(t, V, 40, None, init)
+    calls = _recorded_projections(monkeypatch, t)
     got = spmp_solve_batch_simplex(V, t, 40, step=None, init=init)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    # per segment of 10 rounds: 11 tries of the first round, then rounds up to its first repeat
-    segments = [repeats[10 * s:10 * s + 10] for s in range(4)]
-    assert all(True in seg[:-1] for seg in segments)
-    assert len(calls) == sum(2 * 10 + _projections_until_repeat(seg) for seg in segments)
+    # per segment of 10 rounds: 11 tries of the first round, then rounds up
+    # to each row's first repeat
+    assert len(segments) == 4 and all(len(rounds) == 10 for rounds in segments)
+    assert all(r.all() for rounds in segments for _, r, _ in rounds[1:-1])
+    per_row = _assert_row_local(calls, segments, 4)
+    assert np.all(per_row == 4 * 2 * (11 + 1))
+
+
+@pytest.mark.parametrize("t", [MulticlassTask(3), OrdinalTask(4), ChainTask(3, 2), RankingTask(3)],
+                         ids=lambda t: t.kind)
+def test_row_local_rounds_equal_every_round_bit_for_bit(monkeypatch, t):
+    # rows at three score scales, interleaved: at 30 a row pins at a vertex,
+    # at 0.3 it never does and is redone in most rounds; adaptive calls cold
+    # and warm started, where rows pin, redo and run free in one stack, and
+    # fixed-step calls, where multiclass and ranking rows pin; all of K=40
+    V = np.random.default_rng(18).normal(size=(6, t.embed_dim)) * np.array([[30.0], [0.3], [3.0]] * 2)
+    warm = spmp_solve_batch_simplex(V, t, 20, step=oracle.FIXED_STEP)[2:]
+    calls = _recorded_projections(monkeypatch, t)
+    for step, init in [(None, None), (None, warm), (oracle.FIXED_STEP, None), (1.0, warm)]:
+        want, segments = _every_round(t, V, 40, step, init)
+        del calls[:]
+        got = spmp_solve_batch_simplex(V, t, 40, step=step, init=init)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        per_row = _assert_row_local(calls, segments, 6)
+        pinned = np.any([r for rounds in segments for _, r, _ in rounds], axis=0)
+        assert not pinned.all()
+        if step is None or t.kind in ("multiclass", "ranking"):
+            # some rows leave the stack early, and project less than those that never do
+            assert pinned.any() and per_row[pinned].max() < per_row[~pinned].min()
+        if step is None:
+            # some redo projects some of a round's active rows, not all
+            assert any(len(tries[j][0]) < len(tries[0][0])
+                       for rounds in segments for _, _, tries in rounds for j in range(1, len(tries)))
+
+
+def test_projection_failure_names_its_row_after_rows_leave(monkeypatch):
+    # a ranking projection forced to fail on a stack from which rows have
+    # left, in a round's first try and in a redo of some of its rows: the
+    # error names the player and row of the full stack
+    t = RankingTask(3)
+    V = np.random.default_rng(18).normal(size=(6, t.embed_dim)) * np.array([[30.0], [0.3], [3.0]] * 2)
+    rounds = [r for rounds in _every_round(t, V, 40, None)[1] for r in rounds]
+    first = next(n for n, (_, _, tries) in enumerate(rounds) if len(tries[0][0]) < 6)
+    redo = next(n for n, (_, _, tries) in enumerate(rounds) if len(tries[0][0]) < 6 and len(tries) > 1)
+    project_stack = type(t).project_stack
+    for n, j in [(first, 0), (redo, 1)]:
+        rows = rounds[n][2][j][0]
+        before = 2 * (sum(len(tries) for _, _, tries in rounds[:n]) + j)
+        for col in (len(rows) - 1, 2 * len(rows) - 1):
+            calls = []
+
+            def failing(self, L, G, eta):
+                calls.append(1)
+                if len(calls) > before:
+                    raise SinkhornConvergenceError(1.0, 0, col)
+                return project_stack(self, L, G, eta)
+
+            monkeypatch.setattr(type(t), "project_stack", failing)
+            with pytest.raises(RuntimeError) as exc:
+                spmp_solve_batch_simplex(V, t, 40, step=None)
+            player = "max" if col < len(rows) else "min"
+            assert f"iteration {n} ({player} player, row {rows[col % len(rows)]})" in str(exc.value)
+    assert 0 < first <= redo
