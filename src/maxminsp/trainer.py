@@ -6,17 +6,35 @@ is represented through kernel coefficients C_i = (mu_i - phi(y_i)) / (lambda
 n), and the score at x is g(x) = -sum_j k(x, x_j) C_j.  Per iteration one
 block is re-solved: through the saddle-point oracle for the max-min method
 ("m4n"), or through loss-augmented decoding for the margin baseline ("m3n").
-Each m4n block update is one call of the oracle's engine,
-`spmp_solve_batch_simplex`, on one score vector at step=`oracle.FIXED_STEP`,
-its one fixed-step caller, from its last saddle iterates with warm
+Each m4n block update is one row of a call of the oracle's engine,
+`spmp_solve_batch_simplex`, at step=`oracle.FIXED_STEP`, its one
+fixed-step caller, from the block's last saddle iterates with warm
 starts, else uniform.  The block then moves to (1 - gamma) mu_i + gamma d,
 d the direction.  m3n takes the paper's gamma_t = 2n / (t + 2n).  m4n
 takes the best of `LINE_SEARCH` and gamma_t for the dual objective along
-that segment (`_line_search`), in one `bayes_risk` call: 0 is a candidate,
-so the dual objective never falls.  The search is m4n's alone, because the
-objective it maximizes is m4n's dual; the margin baseline's dual has a
-linear loss term in place of the Bayes term.  Each pass's record gives the
-mean step taken and the number of steps at 0.
+that segment (`_line_search`): 0 is a candidate, so the dual objective
+never falls.  The search is m4n's alone, because the objective it
+maximizes is m4n's dual; the margin baseline's dual has a linear loss term
+in place of the Bayes term.  Each pass's record gives the mean step taken
+and the number of steps at 0.
+
+A pass draws its n blocks up front and walks them in windows.  A window
+starts at the next uncommitted block and runs on while the example of its
+last block took a step of exactly 0 at its last update, up to the pass's
+end and stopping short of an example already in the window.  The window's
+scores, each one block's one-row product, go to one engine call, and its
+rows' line searches to one `bayes_risk` call, row r at
+gamma_t = 2n / (t + r + 2n).  Its rows are then committed in order through the first that
+moves, and the rest are dropped, warm starts untouched; the next window
+starts at the first dropped row.  A zero step leaves mu_i, its
+coefficients and so every later block's scores bit for bit as they were,
+and the engine's rows and `bayes_risk`'s columns are independent bit for
+bit, so every committed row equals the one-block-per-call loop's: the
+prediction that an example stays only decides how much work is
+speculative.  m3n's gamma_t is never 0, so its windows are single blocks
+and its loss-augmented scores keep their one-row product.  Each pass's
+record counts its engine calls (`block_calls`) and its dropped rows
+(`discarded_rows`).
 
 Certificates never feed back into training, so they are all taken after
 the last pass: each pass's dual state and each block update's scores and
@@ -32,6 +50,7 @@ pass alone; certification memory is O(passes n dim).
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -168,25 +187,37 @@ def dual_gap(
     return gaps.mean(axis=1).reshape(mu.shape[:-2]), lower.mean(axis=1).reshape(mu.shape[:-2])
 
 
-def _line_search(task: Task, mu_i: np.ndarray, d: np.ndarray, v_i: np.ndarray,
-                 curvature: float, gamma_t: float) -> tuple[float, float]:
-    """The m4n block step: (gamma, n times the dual objective's gain) at the best candidate.
+def _line_search(task: Task, mu: np.ndarray, D: np.ndarray, V: np.ndarray,
+                 curvature: list[float], gamma_t: list[float]) -> list[tuple[float, float]]:
+    """The m4n block steps of a window's rows: (gamma, n times the dual objective's gain) each.
 
     Moving block i from mu_i toward d by gamma changes the dual objective by
     1/n times  bayes((1-gamma) mu_i + gamma d) - bayes(mu_i) + gamma v_i.delta
     - gamma^2 curvature |delta|^2 / 2,  with delta = d - mu_i, v_i the block's
-    scores and curvature K_ii / (lambda n).  The candidates are LINE_SEARCH,
-    whose first entry is 0, and gamma_t; their points go to `bayes_risk` as
-    one column stack, each column the point the step itself computes.
+    scores and curvature K_ii / (lambda n).  Row r's candidates are
+    LINE_SEARCH, whose first entry is 0, and its gamma_t.  Every row's points
+    go to `bayes_risk` as one column stack, each column the point the step
+    itself computes, and each row's dot products are taken on its own
+    vectors: `bayes_risk` works per column, so a row's step does not depend
+    on the rows searched beside it.
     """
-    gammas = np.append(LINE_SEARCH, gamma_t)
-    delta = d - mu_i
-    points = np.multiply.outer(mu_i, 1.0 - gammas)
-    points += np.multiply.outer(d, gammas)
-    bayes = task.bayes_risk(points)
-    gains = bayes - bayes[0] + gammas * float(v_i @ delta) - gammas ** 2 * (0.5 * curvature * float(delta @ delta))
-    j = int(np.argmax(gains))  # the first best: gamma = 0 unless a step gains
-    return float(gammas[j]), float(gains[j])
+    gammas = np.empty((len(mu), len(LINE_SEARCH) + 1))
+    gammas[:, :-1] = LINE_SEARCH
+    gammas[:, -1] = gamma_t
+    # (dim, rows, candidates): row r's points are columns of one C-contiguous stack
+    points = mu.T[:, :, None] * (1.0 - gammas)
+    points += D.T[:, :, None] * gammas
+    bayes = task.bayes_risk(points.reshape(len(points), -1)).reshape(gammas.shape)
+    delta = D - mu
+    slope, square = np.array([(float(v_i @ d_i), float(d_i @ d_i)) for v_i, d_i in zip(V, delta)]).T
+    bend = 0.5 * np.asarray(curvature) * square
+    gains = bayes - bayes[:, :1] + gammas * slope[:, None] - gammas ** 2 * bend[:, None]
+    best = gains.argmax(axis=1)  # the first best: gamma = 0 unless a step gains
+    return [(float(g[j]), float(gain[j])) for g, gain, j in zip(gammas, gains, best)]
+
+
+# the engine's error names a row of its stack, here a window row
+_ENGINE_ROW = re.compile(r"row (\d+)\)")
 
 
 def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, TrainReport]:
@@ -214,6 +245,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     rng = np.random.default_rng(cfg.seed)
     # each example's start (mu, nu): uniform, or with warm starts its last saddle iterates
     start = np.tile(task.uniform_state(), (n, 2, 1))
+    # whether each example's last step was exactly 0: a window runs on past such an example
+    stays = [False] * n
     # certified after training: each pass's dual state, and each block
     # update's scores and averaged saddle iterates (m4n only)
     shape = (cfg.passes, n, task.embed_dim)
@@ -221,31 +254,51 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
     if method == "m4n":
         block_v, block_mu, block_nu = np.empty(shape), np.empty(shape), np.empty(shape)
     dual_objs, walls, steps = [], [], np.empty((cfg.passes, n))
+    block_calls, discarded = [0] * cfg.passes, [0] * cfg.passes
 
     t = 0
     t0 = time.perf_counter()
     for p in range(cfg.passes):
-        for b in range(n):
-            i = int(rng.integers(n))
-            v_i = _scores_from_gram(K_gram[i], coeffs)
+        order = [int(rng.integers(n)) for _ in range(n)]
+        b = 0
+        while b < n:
+            # the window: blocks b, b+1, ... while the last one's example is
+            # predicted to stay, up to the pass's end or a repeated example
+            win = [order[b]]
+            while stays[win[-1]] and b + len(win) < n and order[b + len(win)] not in win:
+                win.append(order[b + len(win)])
+            V = np.stack([_scores_from_gram(K_gram[i], coeffs) for i in win])
+            gammas = [2.0 * n / (t + r + 2.0 * n) for r in range(len(win))]  # each row's gamma_t
             if method == "m4n":
-                mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
-                    v_i, task, cfg.spmp_iters, step=FIXED_STEP, init=start[i]
-                )
-                block_v[p, b], block_mu[p, b], block_nu[p, b] = v_i, mu_bar[0], nu_bar[0]
-                direction = mu_bar[0]
-                if cfg.warm_start:
-                    start[i] = mu_last[0], nu_last[0]
+                init = start[win]
+                try:
+                    mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
+                        V, task, cfg.spmp_iters, step=FIXED_STEP, init=(init[:, 0], init[:, 1])
+                    )
+                except RuntimeError as exc:
+                    named = _ENGINE_ROW.sub(lambda m: f"example {win[int(m[1])]}, pass {p + 1})", str(exc), count=1)
+                    raise RuntimeError(named) from exc
+                block_calls[p] += 1
+                directions = mu_bar
+                curvature = [K_gram[i, i] / (cfg.lam * n) for i in win]
+                gammas = [g for g, _ in _line_search(task, mu[win], mu_bar, V, curvature, gammas)]
             else:
-                y_aug = task.decode(task.apply_loss_matrix(Phi[i]) + v_i)
-                direction = task.embed(y_aug)
-            gamma = 2.0 * n / (t + 2.0 * n)
-            if method == "m4n":
-                gamma = _line_search(task, mu[i], direction, v_i, K_gram[i, i] / (cfg.lam * n), gamma)[0]
-            steps[p, b] = gamma
-            mu[i] = (1.0 - gamma) * mu[i] + gamma * direction
-            coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
-            t += 1
+                directions = [task.embed(task.decode(task.apply_loss_matrix(Phi[i]) + v_i)) for i, v_i in zip(win, V)]
+            # commit in order through the first row that moves: the rows after it read a stale state
+            for r, (i, gamma) in enumerate(zip(win, gammas)):
+                if method == "m4n":
+                    block_v[p, b + r], block_mu[p, b + r], block_nu[p, b + r] = V[r], mu_bar[r], nu_bar[r]
+                    if cfg.warm_start:
+                        start[i] = mu_last[r], nu_last[r]
+                steps[p, b + r] = gamma
+                mu[i] = (1.0 - gamma) * mu[i] + gamma * directions[r]
+                coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
+                stays[i] = gamma == 0.0
+                if gamma != 0.0:
+                    break
+            discarded[p] += len(win) - (r + 1)
+            b += r + 1
+            t += r + 1
         mu_passes[p] = mu
         w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
         dual_objs.append(float(np.mean(task.bayes_risk(mu.T))) - 0.5 * cfg.lam * w_sq)
@@ -266,7 +319,8 @@ def _train(data, task: Task, cfg: TrainConfig, method: str) -> tuple[DualModel, 
         {"pass": p + 1, "dual_objective": dual_objs[p], "primal_upper": dual_objs[p] + float(gaps[p]),
          "dual_gap": float(gaps[p]), "dual_gap_lower": float(lowers[p]),
          "mean_oracle_gap": float(oracle_gaps[p]), "mean_step": float(steps[p].mean()),
-         "zero_steps": int(np.count_nonzero(steps[p] == 0.0)), "wall_s": walls[p], "certify_s": certify_s}
+         "zero_steps": int(np.count_nonzero(steps[p] == 0.0)), "block_calls": block_calls[p],
+         "discarded_rows": discarded[p], "wall_s": walls[p], "certify_s": certify_s}
         for p in range(cfg.passes)
     ])
 

@@ -71,6 +71,9 @@ def test_train_single_lambda(tmp_path):
     assert "wall_ms" not in lines[0] and "certify_ms" not in lines[0]
     diag = [json.loads(ln) for ln in (out / "diagnostics.jsonl").read_text().splitlines()]
     assert len(diag) == 3 and all("wall_ms" in row and "certify_ms" in row for row in diag)
+    # each pass's block engine calls and dropped window rows, as integers
+    assert all(type(row["block_calls"]) is type(row["discarded_rows"]) is int for row in diag)
+    assert diag[0]["block_calls"] >= 1
     # one training, certified once: every pass carries the same certification time
     assert len({row["certify_ms"] for row in diag}) == 1 and diag[0]["certify_ms"] > 0
 

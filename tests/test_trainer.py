@@ -12,6 +12,7 @@ from maxminsp import calibration, oracle, trainer
 from maxminsp.datasets import synth_blobs, synth_hmm, synth_ranking
 from maxminsp.kernels import KernelSpec, gram, median_heuristic
 from maxminsp.oracle import certified_gap, spmp_solve_batch_simplex
+from maxminsp.projections import SinkhornConvergenceError
 from maxminsp.tasks import ChainTask, MulticlassTask, OrdinalTask, RankingTask
 from maxminsp.trainer import (
     DualModel,
@@ -350,11 +351,16 @@ def dual_objective(model, K_gram, mu):
 
 
 def _traced_steps(train, data, task, cfg):
-    """Train, recording every block step; returns (model, report, steps).
+    """Train, recording every committed block step; returns (model, report, steps).
 
     A step's record holds its block i, drawn as the trainer draws it, the
-    dual state before it (mu), its scores (v) and, for m4n, the oracle's
-    averaged point (d) and the line search's gamma_t argument, gamma and gain.
+    dual state before it (mu), its scores (v) and, for m4n, its row in its
+    window's engine call, the oracle's averaged points (d, nu) and the line
+    search's gamma_t argument, gamma and gain.  A block's record starts
+    when the trainer takes its scores; an m4n window's engine call and line
+    search fill in its rows, and the rows after the first that moves, which
+    the trainer drops, are dropped here too.  A row after zero steps keeps
+    the window's state as its mu.
     """
     models, steps = [], []
     model_cls, scores, engine, search = (trainer.DualModel, trainer._scores_from_gram,
@@ -362,20 +368,28 @@ def _traced_steps(train, data, task, cfg):
 
     def scores_recording(K_rows, coeffs):
         v = scores(K_rows, coeffs)
-        if K_rows.ndim == 1:  # a block step's; dual_gap passes the whole Gram matrix
+        if K_rows.ndim == 1:  # a block's; dual_gap passes the whole Gram matrix
             steps.append({"mu": models[0].dual_mu.copy(), "v": v})
         return v
 
     def engine_recording(V, task, K, *, step=1.0, init=None):
         out = engine(V, task, K, step=step, init=init)
-        if step is not None:  # a block update, not certification
-            steps[-1]["d"] = out[0][0]
+        if step is not None:  # a window's block updates, not certification
+            window = steps[-len(V):]
+            assert np.array_equal(V, np.stack([s["v"] for s in window]))
+            for r, (s, d, nu) in enumerate(zip(window, out[0], out[1])):
+                s.update(row=r, d=d, nu=nu)
         return out
 
-    def search_recording(*args):
-        gamma, gain = search(*args)
-        steps[-1].update(gamma_t=args[-1], gamma=gamma, gain=gain)
-        return gamma, gain
+    def search_recording(task, mu, D, V, curvature, gamma_t):
+        found = search(task, mu, D, V, curvature, gamma_t)
+        window = steps[-len(mu):]
+        for s, g_t, (gamma, gain) in zip(window, gamma_t, found):
+            s.update(gamma_t=g_t, gamma=gamma, gain=gain)
+        moved = [r for r, (gamma, _) in enumerate(found) if gamma != 0.0]
+        if moved:
+            del steps[len(steps) - len(window) + moved[0] + 1:]
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "DualModel", lambda **kw: models.append(model_cls(**kw)) or models[-1])
@@ -407,14 +421,16 @@ def test_step_size_schedule():
 
 
 def _check_block_steps(train):
-    """Every block step of a seeded chain training moves its own block alone,
-    to (1 - gamma) mu_i + gamma d: m3n at exactly gamma_t = 2n / (t + 2n)
-    toward its loss-augmented vertex, m4n at the line search's gamma in
-    [0, 1] toward the oracle's point, with gamma_t among the candidates."""
+    """Every committed block step of a seeded chain training moves its own
+    block alone, to (1 - gamma) mu_i + gamma d: m3n at exactly gamma_t =
+    2n / (t + 2n) toward its loss-augmented vertex, m4n at the line search's
+    gamma in [0, 1] toward the oracle's point, with gamma_t among the
+    candidates."""
     data, task, cfg = _certified_setups()[1]
-    model, report, steps = _traced_steps(train, data, task, cfg)
+    # 8 passes, so that some window commits a row after a zero step
+    model, report, steps = _traced_steps(train, data, task, dataclasses.replace(cfg, passes=8))
     n, Phi = model.n, model.embedded_labels()
-    assert len(steps) == cfg.passes * n
+    assert len(steps) == 8 * n
     for t, (s, new) in enumerate(zip(steps, [s["mu"] for s in steps[1:]] + [model.dual_mu])):
         i, old = s["i"], s["mu"]
         gamma_t = 2.0 * n / (t + 2.0 * n)
@@ -433,6 +449,8 @@ def _check_block_steps(train):
         assert rec["zero_steps"] == taken[p * n:(p + 1) * n].count(0.0)
     if train is gbcfw_train:  # the search does move off the schedule
         assert any(s["gamma"] != s["gamma_t"] for s in steps)
+        # and rows after zero steps in a window are committed at their own gamma_t
+        assert any(s["row"] > 0 for s in steps)
 
 
 @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
@@ -487,8 +505,9 @@ def _recorded_steps(monkeypatch, module):
 @pytest.mark.parametrize("task", [MulticlassTask(3), OrdinalTask(4), ChainTask(2, 2), RankingTask(3)],
                          ids=lambda t: t.kind)
 def test_block_updates_alone_take_the_fixed_step(monkeypatch, task):
-    # block updates pass one step on every polytope; dual-gap certification
-    # and the calibration search adapt, from ADAPTIVE_START worst-case steps
+    # block updates pass one step on every polytope, stacked windows
+    # included; dual-gap certification and the calibration search adapt,
+    # from ADAPTIVE_START worst-case steps
     if task.kind in ("multiclass", "ordinal"):
         # the simplices' earlier calibration step, bit for bit
         assert oracle.FIXED_STEP / (2 * task.l_spmp) == 4.0 / task.l_spmp
@@ -497,10 +516,12 @@ def test_block_updates_alone_take_the_fixed_step(monkeypatch, task):
     xs = rng.normal(size=(6, 2))
     ys = [labels[j] for j in rng.integers(len(labels), size=6)]
     block = _recorded_steps(monkeypatch, trainer)
-    cfg = TrainConfig(passes=1, lam=0.1, spmp_iters=5, gap_oracle_iters=5, seed=0,
+    cfg = TrainConfig(passes=4, lam=0.1, spmp_iters=5, gap_oracle_iters=5, seed=0,
                       kernel=KernelSpec("gaussian", 1.0))
-    gbcfw_train((xs, ys), task, cfg)
-    assert block == [oracle.FIXED_STEP] * 6 + [None]
+    _, report = gbcfw_train((xs, ys), task, cfg)
+    calls = sum(r["block_calls"] for r in report.records)
+    assert block == [oracle.FIXED_STEP] * calls + [None]
+    assert calls < cfg.passes * 6  # so some window stacked several rows
     if task.kind != "ranking":  # the Birkhoff search is too slow for tier-1
         search = _recorded_steps(monkeypatch, calibration)
         calibration.zeta_bruteforce(task, [0.1], search_budget=8, spmp_iters=5)
@@ -587,35 +608,27 @@ def test_stacked_dual_gap_equals_one_state_calls(setup):
 
 
 @pytest.mark.parametrize("setup", [0, 1], ids=["simplex", "chain"])
-def test_mean_oracle_gap_averages_block_certificates(monkeypatch, setup):
-    # each pass's mean_oracle_gap is the mean certified gap of its block
-    # updates' averaged iterates, each certified on its own
+def test_mean_oracle_gap_averages_block_certificates(setup):
+    # each pass's mean_oracle_gap is the mean certified gap of its committed
+    # block updates' averaged iterates, each certified on its own
     data, task, cfg = _certified_setups()[setup]
-    solves = []
-    engine = trainer.spmp_solve_batch_simplex
-
-    def recording(V, *args, **kwargs):
-        out = engine(V, *args, **kwargs)
-        solves.append((V, out))
-        return out
-
-    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", recording)
-    _, report = gbcfw_train(data, task, cfg)
-    n = len(data[1])
-    block = [float(certified_gap(mu_bar, nu_bar, V, task)[0]) for V, (mu_bar, nu_bar, _, _) in solves[:-1]]
+    model, report, steps = _traced_steps(gbcfw_train, data, task, cfg)
+    n = model.n
+    block = [float(certified_gap(s["d"], s["nu"], s["v"], task)[0]) for s in steps]
     assert len(block) == cfg.passes * n
     for p, rec in enumerate(report.records):
         assert rec["mean_oracle_gap"] == pytest.approx(np.mean(block[p * n:(p + 1) * n]), rel=1e-12)
 
 
-@pytest.mark.parametrize("train, engine_calls, gap_calls", [
-    (gbcfw_train, lambda passes, n: passes * n + 1, 2),
-    (m3n_train, lambda passes, n: 1, 1),
+@pytest.mark.parametrize("train, block_calls, gap_calls", [
+    (gbcfw_train, lambda passes, n: passes * n, 2),
+    (m3n_train, lambda passes, n: 0, 1),
 ])
-def test_training_certifies_once(monkeypatch, train, engine_calls, gap_calls):
-    # one engine call per block update plus one for every pass's dual gap;
-    # one certified_gap call for the dual gaps and one for the block gaps
-    calls = {"engine": 0, "gap": 0}
+def test_training_certifies_once(monkeypatch, train, block_calls, gap_calls):
+    # one dual_gap call, one engine call for every pass's dual gap beside
+    # the block updates' calls, at most one per block, and one certified_gap
+    # call for the dual gaps and one for the block gaps
+    calls = {"engine": 0, "dual_gap": 0, "gap": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -623,12 +636,13 @@ def test_training_certifies_once(monkeypatch, train, engine_calls, gap_calls):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex",
-                        counting("engine", trainer.spmp_solve_batch_simplex))
-    monkeypatch.setattr(trainer, "certified_gap", counting("gap", trainer.certified_gap))
+    for name, attr in [("engine", "spmp_solve_batch_simplex"), ("dual_gap", "dual_gap"), ("gap", "certified_gap")]:
+        monkeypatch.setattr(trainer, attr, counting(name, getattr(trainer, attr)))
     data, task, cfg = _certified_setups()[0]
-    train(data, task, cfg)
-    assert calls == {"engine": engine_calls(cfg.passes, len(data[1])), "gap": gap_calls}
+    _, report = train(data, task, cfg)
+    block = sum(r["block_calls"] for r in report.records)
+    assert calls == {"engine": block + 1, "dual_gap": 1, "gap": gap_calls}
+    assert block <= block_calls(cfg.passes, len(data[1]))
 
 
 def test_certify_time_covers_the_dual_gap_call(monkeypatch):
@@ -652,3 +666,195 @@ def test_negative_dual_gap_names_first_pass(monkeypatch):
     data, task, cfg = _certified_setups()[0]
     with pytest.raises(RuntimeError, match="negative dual gap -1.0 at pass 2"):
         gbcfw_train(data, task, cfg)
+
+
+def _one_line_search(task, mu_i, d, v_i, curvature, gamma_t):
+    """One block's m4n step on its own: the best of LINE_SEARCH and gamma_t, its points in one `bayes_risk` call."""
+    gammas = np.append(trainer.LINE_SEARCH, gamma_t)
+    delta = d - mu_i
+    points = np.multiply.outer(mu_i, 1.0 - gammas)
+    points += np.multiply.outer(d, gammas)
+    bayes = task.bayes_risk(points)
+    gains = bayes - bayes[0] + gammas * float(v_i @ delta) - gammas ** 2 * (0.5 * curvature * float(delta @ delta))
+    j = int(np.argmax(gains))
+    return float(gammas[j]), float(gains[j])
+
+
+def _sequential_train(data, task, cfg, method):
+    """The one-block-per-call loop: each block drawn, solved and searched alone, in draw order.
+
+    Returns the dual state, the kernel coefficients and each pass's record
+    without its timings and window counts, certified as the trainer does.
+    """
+    xs, ys = np.asarray(data[0], dtype=float), list(data[1])
+    n = len(ys)
+    Phi = np.stack([task.embed(y) for y in ys])
+    K_gram = gram(xs, cfg.kernel)
+    mu, coeffs = Phi.copy(), np.zeros_like(Phi)
+    rng = np.random.default_rng(cfg.seed)
+    start = np.tile(task.uniform_state(), (n, 2, 1))
+    shape = (cfg.passes, n, task.embed_dim)
+    mu_passes, block_v, block_mu, block_nu = (np.empty(shape) for _ in range(4))
+    dual_objs, steps = [], np.empty((cfg.passes, n))
+    t = 0
+    for p in range(cfg.passes):
+        for b in range(n):
+            i = int(rng.integers(n))
+            v_i = _scores_from_gram(K_gram[i], coeffs)
+            gamma = 2.0 * n / (t + 2.0 * n)
+            if method == "m4n":
+                mu_bar, nu_bar, mu_last, nu_last = spmp_solve_batch_simplex(
+                    v_i, task, cfg.spmp_iters, step=oracle.FIXED_STEP, init=start[i])
+                block_v[p, b], block_mu[p, b], block_nu[p, b] = v_i, mu_bar[0], nu_bar[0]
+                direction = mu_bar[0]
+                if cfg.warm_start:
+                    start[i] = mu_last[0], nu_last[0]
+                gamma = _one_line_search(task, mu[i], direction, v_i, K_gram[i, i] / (cfg.lam * n), gamma)[0]
+            else:
+                direction = task.embed(task.decode(task.apply_loss_matrix(Phi[i]) + v_i))
+            steps[p, b] = gamma
+            mu[i] = (1.0 - gamma) * mu[i] + gamma * direction
+            coeffs[i] = (mu[i] - Phi[i]) / (cfg.lam * n)
+            t += 1
+        mu_passes[p] = mu
+        w_sq = float(np.einsum("ij,ij->", K_gram @ coeffs, coeffs))
+        dual_objs.append(float(np.mean(task.bayes_risk(mu.T))) - 0.5 * cfg.lam * w_sq)
+    model = DualModel(task=task, kernel=cfg.kernel, xs=xs, ys=ys, lam=cfg.lam, dual_mu=mu, kernel_coeffs=coeffs)
+    gaps, lowers = dual_gap(model, K_gram=K_gram, oracle_iters=cfg.gap_oracle_iters, mu=mu_passes)
+    if method == "m4n":
+        rows = (a.reshape(-1, task.embed_dim) for a in (block_mu, block_nu, block_v))
+        oracle_gaps = certified_gap(*rows, task).reshape(cfg.passes, n).mean(axis=1)
+    else:
+        oracle_gaps = np.zeros(cfg.passes)
+    return mu, coeffs, [
+        {"pass": p + 1, "dual_objective": dual_objs[p], "primal_upper": dual_objs[p] + float(gaps[p]),
+         "dual_gap": float(gaps[p]), "dual_gap_lower": float(lowers[p]),
+         "mean_oracle_gap": float(oracle_gaps[p]), "mean_step": float(steps[p].mean()),
+         "zero_steps": int(np.count_nonzero(steps[p] == 0.0))}
+        for p in range(cfg.passes)
+    ]
+
+
+def _block_rows(monkeypatch):
+    """Block engine calls made through the trainer are recorded: the rows of each."""
+    rows = []
+    engine = trainer.spmp_solve_batch_simplex
+
+    def recording(V, task, K, *, step=1.0, init=None):
+        if step is not None:
+            rows.append(len(V))
+        return engine(V, task, K, step=step, init=init)
+
+    monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", recording)
+    return rows
+
+
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("train", [gbcfw_train, m3n_train], ids=["m4n", "m3n"])
+@pytest.mark.parametrize("task", [MulticlassTask(3), OrdinalTask(5), ChainTask(M=3, R=2), RankingTask(3)],
+                         ids=lambda t: t.kind)
+def test_block_windows_equal_the_sequential_loop_bit_for_bit(monkeypatch, task, train, warm_start):
+    # windows share one engine call and one line search among blocks after
+    # zero steps, and drop the rows after the first that moves: the model
+    # and the records equal those of one engine call per block
+    rng = np.random.default_rng(11)
+    labels = list(task.labels())
+    n = 10
+    data = (rng.normal(size=(n, 2)), [labels[j] for j in rng.integers(len(labels), size=n)])
+    cfg = TrainConfig(passes=6, lam=0.05, spmp_iters=10, gap_oracle_iters=20, warm_start=warm_start,
+                      seed=3, kernel=KernelSpec("gaussian", 0.5))
+    mu, coeffs, records = _sequential_train(data, task, cfg, "m4n" if train is gbcfw_train else "m3n")
+    rows = _block_rows(monkeypatch)
+    model, report = train(data, task, cfg)
+    assert np.array_equal(model.dual_mu, mu) and np.array_equal(model.kernel_coeffs, coeffs)
+    counts = ("wall_s", "certify_s", "block_calls", "discarded_rows")
+    assert [{k: v for k, v in r.items() if k not in counts} for r in report.records] == records
+    if train is gbcfw_train:  # not a silent fall back to one block per call
+        assert max(rows) > 1
+    else:
+        assert rows == []
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_stacked_line_searches_equal_one_search_calls(k):
+    # an ordinal Bayes term is a gemm, here of 66 columns per row: m rows'
+    # searches in one call give each row's steps and gains, and each column's
+    # Bayes term, bit for bit as a call of its own
+    task = OrdinalTask(k)
+    rng = np.random.default_rng(k)
+    for m in (2, 3, 5, 8, 17):
+        mu, D = rng.dirichlet(np.full(k, 0.5), size=m), rng.dirichlet(np.full(k, 0.5), size=m)
+        V, curvature, gamma_t = rng.normal(size=(m, k)), rng.uniform(0.1, 10.0, size=m), rng.uniform(size=m)
+        points = [np.multiply.outer(a, 1.0 - g) + np.multiply.outer(d, g)
+                  for a, d, g in zip(mu, D, (np.append(trainer.LINE_SEARCH, g) for g in gamma_t))]
+        stacked = task.bayes_risk(np.concatenate(points, axis=1))
+        assert np.array_equal(stacked, np.concatenate([task.bayes_risk(P) for P in points]))
+        alone = [_one_line_search(task, *row) for row in zip(mu, D, V, curvature.tolist(), gamma_t.tolist())]
+        assert trainer._line_search(task, mu, D, V, curvature.tolist(), gamma_t.tolist()) == alone
+
+
+@pytest.mark.parametrize("kind", ["multiclass", "chain"])
+def test_block_counts_match_the_engine_calls(monkeypatch, kind):
+    # each pass counts its block engine calls and the speculative rows it
+    # dropped: the committed rows are one per block, and a rerun counts the same
+    data, task, cfg = _tiny_setup(kind, n=10, passes=6)
+    rows = _block_rows(monkeypatch)
+    for passes in range(1, cfg.passes + 1):
+        rows.clear()
+        _, report = gbcfw_train(data, task, dataclasses.replace(cfg, passes=passes))
+        counts = [(r["block_calls"], r["discarded_rows"]) for r in report.records]
+        assert sum(c for c, _ in counts) == len(rows)
+        assert passes * 10 + sum(d for _, d in counts) == sum(rows)
+    assert all(isinstance(c, int) and isinstance(d, int) for c, d in counts)
+    assert max(rows) > 1 and sum(d for _, d in counts) > 0
+    _, again = gbcfw_train(data, task, cfg)
+    assert [(r["block_calls"], r["discarded_rows"]) for r in again.records] == counts
+    rows.clear()
+    _, m3n = m3n_train(data, task, cfg)
+    assert rows == [] and all(r["block_calls"] == r["discarded_rows"] == 0 for r in m3n.records)
+
+
+def test_block_projection_failure_names_the_example(monkeypatch):
+    # a ranking projection forced to fail on a column of a window's second
+    # row: the error names that row's example, by its index in the training
+    # set, and the pass, not the row of the window's stack
+    data, task, cfg = _tiny_setup("ranking", n=10, passes=6)
+    n = len(data[1])
+    windows = []  # each block engine call's rows and committed rows
+    engine, search = trainer.spmp_solve_batch_simplex, trainer._line_search
+
+    def searching(*args):
+        found = search(*args)
+        moved = [r for r, (gamma, _) in enumerate(found) if gamma != 0.0]
+        windows.append((len(found), moved[0] + 1 if moved else len(found)))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_line_search", searching)
+        gbcfw_train(data, task, cfg)
+    w = next(w for w, (size, _) in enumerate(windows) if size > 1)
+    first = sum(c for _, c in windows[:w])  # the window's first block, counted over passes
+    rng = np.random.default_rng(cfg.seed)
+    draws = [int(rng.integers(n)) for _ in range(first + 2)]  # the trainer's scalar draws
+    example, p = draws[first + 1], first // n + 1
+    assert (first + 1) // n + 1 == p  # a window never crosses a pass
+    project_stack = type(task).project_stack
+    for col, player in [(1, "max"), (windows[w][0] + 1, "min")]:
+        calls = {"block": 0, "armed": False}
+
+        def counting(V, task, K, *, step=1.0, init=None):
+            calls["block"] += step is not None
+            calls["armed"] = step is not None and calls["block"] == w + 1
+            return engine(V, task, K, step=step, init=init)
+
+        def failing(self, L, G, eta):
+            if calls["armed"]:
+                raise SinkhornConvergenceError(1.0, 0, col)
+            return project_stack(self, L, G, eta)
+
+        monkeypatch.setattr(trainer, "spmp_solve_batch_simplex", counting)
+        monkeypatch.setattr(type(task), "project_stack", failing)
+        with pytest.raises(RuntimeError) as exc:
+            gbcfw_train(data, task, cfg)
+        assert f"iteration 0 ({player} player, example {example}, pass {p})" in str(exc.value)
+        assert "row" not in str(exc.value)
